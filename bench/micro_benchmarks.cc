@@ -77,6 +77,34 @@ void BM_MatmulTransposeBRef(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulTransposeBRef)->Arg(64)->Arg(128)->Arg(256);
 
+// The weight-gradient kernel (dW += Xᵀ·dY in every backward pass).
+void BM_MatmulTransposeA(benchmark::State& state) {
+  const size_t n = state.range(0);
+  Rng rng(13);
+  Matrix a = Matrix::Uniform(n, n, &rng);
+  Matrix b = Matrix::Uniform(n, n, &rng);
+  Matrix c;
+  for (auto _ : state) {
+    MatmulTransposeAInto(a, b, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_MatmulTransposeA)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_MatmulTransposeARef(benchmark::State& state) {
+  const size_t n = state.range(0);
+  Rng rng(13);
+  Matrix a = Matrix::Uniform(n, n, &rng);
+  Matrix b = Matrix::Uniform(n, n, &rng);
+  for (auto _ : state) {
+    Matrix c = reference::MatmulTransposeA(a, b);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_MatmulTransposeARef)->Arg(64)->Arg(128)->Arg(256);
+
 void BM_FusedMaskedSoftmax(benchmark::State& state) {
   // The attention scoring shape: scale + prefix column mask + softmax,
   // fused into one pass over each row.

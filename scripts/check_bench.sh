@@ -85,6 +85,7 @@ for b in doc.get("benchmarks", []):
 PAIRS = [
     ("BM_Matmul", "BM_MatmulRef"),
     ("BM_MatmulTransposeB", "BM_MatmulTransposeBRef"),
+    ("BM_MatmulTransposeA", "BM_MatmulTransposeARef"),
     ("BM_FusedMaskedSoftmax", "BM_MaskedSoftmaxRef"),
     ("BM_ReplaySampleBatch", "BM_ReplaySampleBatchSync"),
     ("BM_ReplayDecodePacked", "BM_ReplayDecodeBoxed"),

@@ -38,25 +38,48 @@ double DqnAgent::ComputeTarget(float reward,
          config_.gamma * ComputeFutureValue(future);
 }
 
+namespace {
+
+/// Per-thread scratch of the bootstrap-target pass: the sliced pool, a warm
+/// forward cache and the Q vector, reused across every (branch, segment).
+/// Not the learner's training workspace: with recompute_targets_on_replay
+/// the targets are computed inside the learner body.
+struct BootstrapWorkspace {
+  Matrix pool;
+  SetQNetwork::Cache cache;
+  std::vector<double> q;
+
+  static BootstrapWorkspace& ThreadLocal() {
+    thread_local BootstrapWorkspace ws;
+    return ws;
+  }
+};
+
+}  // namespace
+
 double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
                         bool double_q) {
+  BootstrapWorkspace& ws = BootstrapWorkspace::ThreadLocal();
   double expectation = 0;
   for (const auto& branch : future.branches) {
     for (const auto& [valid_n, prob] : branch.segments) {
       if (valid_n == 0 || prob <= 0) continue;
-      const Matrix pool = branch.base.SliceRows(0, valid_n);
+      CROWDRL_CHECK(valid_n <= branch.base.rows());
+      ws.pool.Resize(valid_n, branch.base.cols());
+      std::copy(branch.base.data(),
+                branch.base.data() + valid_n * branch.base.cols(),
+                ws.pool.data());
       double value;
       if (double_q) {
         // Double DQN: online net picks the action, target net scores it.
-        const auto online_q = view.online->QValues(pool, valid_n);
+        view.online->QValuesInto(ws.pool, valid_n, &ws.cache, &ws.q);
         const size_t best =
-            std::max_element(online_q.begin(), online_q.end()) -
-            online_q.begin();
-        const auto target_q = view.target->QValues(pool, valid_n);
-        value = target_q[best];
+            std::max_element(ws.q.begin(), ws.q.end()) - ws.q.begin();
+        view.target->QValuesInto(ws.pool, valid_n, &ws.cache, &ws.q);
+        value = ws.q[best];
       } else {
-        const auto target_q = view.target->QValues(pool, valid_n);
-        value = *std::max_element(target_q.begin(), target_q.end());
+        view.target->QValuesInto(ws.pool, valid_n, &ws.cache, &ws.q);
+        value = *std::max_element(ws.q.begin(), ws.q.end());
       }
       expectation += static_cast<double>(prob) * value;
     }
@@ -108,39 +131,42 @@ bool DqnAgent::LearnStep() {
   }
   for (size_t c = 0; c < chunks; ++c) chunk_grads_[c].SetZero();
 
-  std::vector<double> td(batch, 0.0);
-  std::vector<double> weighted_sq(batch, 0.0);
+  td_.resize(batch);
+  weighted_sq_.resize(batch);
   pool.ParallelFor(chunks, [&](size_t ci) {
     const size_t lo = ci * batch / chunks;
     const size_t hi = (ci + 1) * batch / chunks;
-    // Thread-local workspace: the forward pass reuses the same warm
-    // buffers the serve path uses on this pool thread.
-    SetQNetwork::Cache& cache = InferenceWorkspace::ThreadLocal().cache;
+    // The loss reads Q(s, a) only, so each sample trains through the
+    // action-row pass, in this pool thread's warm learner workspace.
+    LearnerWorkspace& ws = LearnerWorkspace::ThreadLocal();
+    ws.grad_q.Resize(1, 1);
     for (size_t i = lo; i < hi; ++i) {
       const Transition& tr = batch_.item(i);
       const double weight = batch_.weight(i);
       const double y = config_.recompute_targets_on_replay
                            ? ComputeTarget(tr.reward, tr.future)
                            : tr.target;
-      const Matrix& q = online_.ForwardInto(tr.state, tr.valid_n, &cache);
       CROWDRL_CHECK(tr.action_row >= 0 &&
-                    tr.action_row < static_cast<int>(q.rows()));
-      const double delta = q(tr.action_row, 0) - y;
-      td[i] = delta;
-      weighted_sq[i] = weight * delta * delta;
-      // d(w·δ²)/dq = 2·w·δ at the action row; zero elsewhere.
-      Matrix dq(q.rows(), 1);
-      dq(tr.action_row, 0) = static_cast<float>(2.0 * weight * delta);
-      online_.Backward(dq, cache, &chunk_grads_[ci]);
+                    static_cast<size_t>(tr.action_row) < tr.state.rows());
+      const double delta =
+          online_.ForwardAction(tr.state, tr.valid_n, tr.action_row,
+                                &ws.cache) -
+          y;
+      td_[i] = delta;
+      weighted_sq_[i] = weight * delta * delta;
+      // d(w·δ²)/dq = 2·w·δ at the action row.
+      ws.grad_q(0, 0) = static_cast<float>(2.0 * weight * delta);
+      online_.BackwardInto(ws.grad_q, ws.cache, &ws.scratch,
+                           &chunk_grads_[ci]);
     }
   });
 
   for (size_t c = 1; c < chunks; ++c) chunk_grads_[0].Add(chunk_grads_[c]);
   optimizer_.Step(chunk_grads_[0].g, 1.0 / static_cast<double>(batch));
 
-  replay_.UpdatePriorities(batch_.slots(), td);
+  replay_.UpdatePriorities(batch_.slots(), td_);
   double loss = 0;
-  for (size_t i = 0; i < batch; ++i) loss += weighted_sq[i];
+  for (size_t i = 0; i < batch; ++i) loss += weighted_sq_[i];
   last_loss_ = loss / static_cast<double>(batch);
 
   ++learn_steps_;

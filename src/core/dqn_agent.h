@@ -67,9 +67,17 @@ struct DqnAgentConfig {
 ///  * prioritized experience replay with importance-sampling correction.
 ///
 /// Learner steps are parallelized across CPU cores: each worker thread
-/// forward/backwards a slice of the minibatch against the shared (read-only)
-/// network and accumulates into its own gradient store; gradients are then
-/// reduced and applied with Adam.
+/// trains a slice of the minibatch against the shared (read-only) network
+/// and accumulates into its own gradient store; gradients are then reduced
+/// in chunk order and applied with Adam. Since the loss reads only
+/// Q(s, a), each sample trains through SetQNetwork's action-row pass
+/// (ForwardAction + BackwardInto) in a thread-local LearnerWorkspace, which
+/// allocates nothing once warm. That pass runs the dense pass's float
+/// operations minus the ones spent on zero-gradient rows, so on the
+/// portable build it is bit-exact with a dense per-sample ForwardInto +
+/// Backward loop (the test reference in tests/core/dqn_agent_test.cc) —
+/// the learner must stay bit-exact because perfbench replays recorded
+/// quality rows bit for bit.
 class DqnAgent {
  public:
   explicit DqnAgent(const DqnAgentConfig& config);
@@ -174,6 +182,10 @@ class DqnAgent {
   /// Persistent per-chunk gradient stores (avoids re-allocating ~MBs of
   /// gradient buffers every learner step).
   std::vector<SetQNetwork::Gradients> chunk_grads_;
+  /// Per-sample TD errors and weighted squared errors of the current step,
+  /// reused across steps.
+  std::vector<double> td_;
+  std::vector<double> weighted_sq_;
 };
 
 }  // namespace crowdrl

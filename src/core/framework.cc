@@ -382,21 +382,29 @@ Status TaskArrangementFramework::LoadState(const std::string& path) {
     return Status::InvalidArgument(
         "checkpoint objective does not match this framework's");
   }
-  auto restore_agent = [&](DqnAgent* agent) -> Status {
-    SetQNetwork net;
-    CROWDRL_RETURN_NOT_OK(net.Load(&f));
-    if (net.config().input_dim != agent->online().config().input_dim ||
-        net.config().hidden_dim != agent->online().config().hidden_dim) {
+  // Parse everything into staging first and commit only once the whole
+  // file has been read: a truncated or mismatched checkpoint must leave
+  // the framework exactly as it was.
+  auto read_net = [&](const DqnAgent& agent, SetQNetwork* net) -> Status {
+    CROWDRL_RETURN_NOT_OK(net->Load(&f));
+    if (net->config().input_dim != agent.online().config().input_dim ||
+        net->config().hidden_dim != agent.online().config().hidden_dim) {
       return Status::InvalidArgument("checkpoint network shape mismatch");
     }
-    agent->RestoreOnline(net);
     return Status::OK();
   };
-  if (worker_agent_) CROWDRL_RETURN_NOT_OK(restore_agent(worker_agent_.get()));
-  if (requester_agent_) {
-    CROWDRL_RETURN_NOT_OK(restore_agent(requester_agent_.get()));
+  SetQNetwork worker_net, requester_net;
+  if (worker_agent_) {
+    CROWDRL_RETURN_NOT_OK(read_net(*worker_agent_, &worker_net));
   }
+  if (requester_agent_) {
+    CROWDRL_RETURN_NOT_OK(read_net(*requester_agent_, &requester_net));
+  }
+  // The arrival statistics come last and ArrivalModel::Load is itself
+  // all-or-nothing, so once it succeeds the whole file has been read.
   CROWDRL_RETURN_NOT_OK(arrivals_.Load(&f));
+  if (worker_agent_) worker_agent_->RestoreOnline(worker_net);
+  if (requester_agent_) requester_agent_->RestoreOnline(requester_net);
   return Status::OK();
 }
 

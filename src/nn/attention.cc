@@ -30,12 +30,6 @@ void HeadSliceInto(const Matrix& m, size_t h, size_t hd, Matrix* out) {
   }
 }
 
-Matrix HeadSlice(const Matrix& m, size_t h, size_t hd) {
-  Matrix out;
-  HeadSliceInto(m, h, hd, &out);
-  return out;
-}
-
 /// Overwrites the column block h of `m` with `block`.
 void SetHeadSlice(Matrix* m, const Matrix& block, size_t h, size_t hd) {
   for (size_t r = 0; r < m->rows(); ++r) {
@@ -64,26 +58,21 @@ void ZeroPadRows(Matrix* m, size_t valid_n) {
 
 }  // namespace
 
-void MultiHeadSelfAttention::ForwardInto(const Matrix& x, size_t valid_n,
-                                         Cache* cache, Matrix* out) const {
-  CROWDRL_CHECK(x.cols() == dim());
-  CROWDRL_CHECK(valid_n <= x.rows());
-  CROWDRL_CHECK(out != &x);
-  const size_t n = x.rows();
+void MultiHeadSelfAttention::AttendInto(const Matrix& xq, size_t valid_q,
+                                        Cache* cache, Matrix* out) const {
+  const size_t n = cache->x.rows();
   const size_t hd = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
-  cache->x = x;
-  cache->valid_n = valid_n;
-  MatmulInto(x, wq_, &cache->q);
-  MatmulInto(x, wk_, &cache->k);
-  MatmulInto(x, wv_, &cache->v);
+  MatmulInto(xq, wq_, &cache->q);
+  MatmulInto(cache->x, wk_, &cache->k);
+  MatmulInto(cache->x, wv_, &cache->v);
   if (cache->probs.size() != num_heads_) cache->probs.resize(num_heads_);
-  cache->concat.Resize(n, dim());
+  cache->concat.Resize(xq.rows(), dim());
 
   if (use_mask_) {
     cache->col_mask.assign(n, 0);
-    for (size_t i = 0; i < valid_n; ++i) cache->col_mask[i] = 1;
+    for (size_t i = 0; i < cache->valid_n; ++i) cache->col_mask[i] = 1;
   }
 
   for (size_t h = 0; h < num_heads_; ++h) {
@@ -97,14 +86,41 @@ void MultiHeadSelfAttention::ForwardInto(const Matrix& x, size_t valid_n,
     // raw zero-padding (padding rows still score exp(0) mass).
     ScaledMaskedSoftmaxRowsInPlace(scores, scale,
                                    use_mask_ ? &cache->col_mask : nullptr,
-                                   use_mask_ ? static_cast<long>(valid_n)
+                                   use_mask_ ? static_cast<long>(valid_q)
                                              : -1);
     MatmulInto(*scores, cache->vh, &cache->oh);
     SetHeadSlice(&cache->concat, cache->oh, h, hd);
   }
 
   MatmulInto(cache->concat, wo_, out);
-  if (use_mask_) ZeroPadRows(out, valid_n);
+  if (use_mask_) ZeroPadRows(out, valid_q);
+}
+
+void MultiHeadSelfAttention::ForwardInto(const Matrix& x, size_t valid_n,
+                                         Cache* cache, Matrix* out) const {
+  CROWDRL_CHECK(x.cols() == dim());
+  CROWDRL_CHECK(valid_n <= x.rows());
+  CROWDRL_CHECK(out != &x);
+  cache->x = x;
+  cache->valid_n = valid_n;
+  cache->query_row = kAllRows;
+  AttendInto(cache->x, valid_n, cache, out);
+}
+
+void MultiHeadSelfAttention::ForwardRowInto(const Matrix& x, size_t valid_n,
+                                            size_t row, Cache* cache,
+                                            Matrix* out) const {
+  CROWDRL_CHECK(x.cols() == dim());
+  CROWDRL_CHECK(valid_n <= x.rows());
+  CROWDRL_CHECK(row < x.rows());
+  CROWDRL_CHECK(out != &x);
+  cache->x = x;
+  cache->valid_n = valid_n;
+  cache->query_row = row;
+  cache->x_row.Resize(1, x.cols());
+  cache->x_row.SetRow(0, x, row);
+  // A padded query row (masked) is zeroed, as ForwardInto zeroes it.
+  AttendInto(cache->x_row, row < valid_n ? 1 : 0, cache, out);
 }
 
 Matrix MultiHeadSelfAttention::Forward(const Matrix& x, size_t valid_n,
@@ -117,51 +133,80 @@ Matrix MultiHeadSelfAttention::Forward(const Matrix& x, size_t valid_n,
 Matrix MultiHeadSelfAttention::Backward(const Matrix& grad_out,
                                         const Cache& cache,
                                         Grads* grads) const {
+  BackwardScratch scratch;
+  Matrix dx;
+  BackwardInto(grad_out, cache,
+               {&grads->dwq, &grads->dwk, &grads->dwv, &grads->dwo},
+               &scratch, &dx);
+  return dx;
+}
+
+void MultiHeadSelfAttention::BackwardInto(const Matrix& grad_out,
+                                          const Cache& cache,
+                                          const GradRefs& grads,
+                                          BackwardScratch* s,
+                                          Matrix* dx) const {
+  const bool all_rows = cache.query_row == kAllRows;
+  const Matrix& xq = all_rows ? cache.x : cache.x_row;
+  const size_t valid_q =
+      all_rows ? cache.valid_n : (cache.query_row < cache.valid_n ? 1 : 0);
+  const size_t n = cache.x.rows();
   const size_t hd = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  CROWDRL_CHECK(grad_out.rows() == xq.rows() && grad_out.cols() == dim());
 
-  Matrix dy = grad_out;
-  if (use_mask_) ZeroPadRows(&dy, cache.valid_n);
+  s->dy = grad_out;
+  if (use_mask_) ZeroPadRows(&s->dy, valid_q);
 
   // out = concat · W_O.
-  MatmulTransposeAAccumulate(cache.concat, dy, &grads->dwo);
-  Matrix dconcat = MatmulTransposeB(dy, wo_);
+  MatmulTransposeAAccumulate(cache.concat, s->dy, grads.dwo);
+  MatmulTransposeBInto(s->dy, wo_, &s->dconcat);
 
-  Matrix dq(cache.q.rows(), cache.q.cols());
-  Matrix dk(cache.k.rows(), cache.k.cols());
-  Matrix dv(cache.v.rows(), cache.v.cols());
+  s->dq.Resize(xq.rows(), dim());
+  s->dq.SetZero();
+  s->dk.Resize(n, dim());
+  s->dk.SetZero();
+  s->dv.Resize(n, dim());
+  s->dv.SetZero();
 
   for (size_t h = 0; h < num_heads_; ++h) {
-    Matrix doh = HeadSlice(dconcat, h, hd);
-    Matrix qh = HeadSlice(cache.q, h, hd);
-    Matrix kh = HeadSlice(cache.k, h, hd);
-    Matrix vh = HeadSlice(cache.v, h, hd);
+    HeadSliceInto(s->dconcat, h, hd, &s->doh);
+    HeadSliceInto(cache.q, h, hd, &s->qh);
+    HeadSliceInto(cache.k, h, hd, &s->kh);
+    HeadSliceInto(cache.v, h, hd, &s->vh);
     const Matrix& probs = cache.probs[h];
 
     // o = P·V.
-    Matrix dprobs = MatmulTransposeB(doh, vh);
-    Matrix dvh = MatmulTransposeA(probs, doh);
+    MatmulTransposeBInto(s->doh, s->vh, &s->dprobs);
+    MatmulTransposeAInto(probs, s->doh, &s->dvh);
     // P = softmax(S); rows that were fully masked have P ≡ 0 and the
     // softmax backward then yields exactly 0 — no special-casing needed.
-    Matrix dscores = SoftmaxRowsBackward(probs, dprobs);
-    dscores *= scale;
+    SoftmaxRowsBackwardInto(probs, s->dprobs, &s->dscores);
+    s->dscores *= scale;
     // S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-    Matrix dqh = Matmul(dscores, kh);
-    Matrix dkh = MatmulTransposeA(dscores, qh);
+    MatmulInto(s->dscores, s->kh, &s->dqh);
+    MatmulTransposeAInto(s->dscores, s->qh, &s->dkh);
 
-    AddHeadSlice(&dq, dqh, h, hd);
-    AddHeadSlice(&dk, dkh, h, hd);
-    AddHeadSlice(&dv, dvh, h, hd);
+    AddHeadSlice(&s->dq, s->dqh, h, hd);
+    AddHeadSlice(&s->dk, s->dkh, h, hd);
+    AddHeadSlice(&s->dv, s->dvh, h, hd);
   }
 
-  MatmulTransposeAAccumulate(cache.x, dq, &grads->dwq);
-  MatmulTransposeAAccumulate(cache.x, dk, &grads->dwk);
-  MatmulTransposeAAccumulate(cache.x, dv, &grads->dwv);
+  MatmulTransposeAAccumulate(xq, s->dq, grads.dwq);
+  MatmulTransposeAAccumulate(cache.x, s->dk, grads.dwk);
+  MatmulTransposeAAccumulate(cache.x, s->dv, grads.dwv);
 
-  Matrix dx = MatmulTransposeB(dq, wq_);
-  dx += MatmulTransposeB(dk, wk_);
-  dx += MatmulTransposeB(dv, wv_);
-  return dx;
+  // dX = dQ·W_Qᵀ + dK·W_Kᵀ + dV·W_Vᵀ, where dQ covers the query rows only.
+  // (b + a) + c is bit-identical to (a + b) + c: float addition commutes.
+  MatmulTransposeBInto(s->dk, wk_, dx);
+  MatmulTransposeBInto(s->dq, wq_, &s->projected);
+  if (all_rows) {
+    *dx += s->projected;
+  } else {
+    dx->AddToRow(cache.query_row, s->projected);
+  }
+  MatmulTransposeBInto(s->dv, wv_, &s->projected);
+  *dx += s->projected;
 }
 
 MultiHeadSelfAttention::Grads MultiHeadSelfAttention::MakeGrads() const {

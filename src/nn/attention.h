@@ -26,25 +26,52 @@ namespace crowdrl {
 /// the ablation study.
 class MultiHeadSelfAttention {
  public:
+  /// Marks a Cache filled by ForwardInto: every row is a query row.
+  static constexpr size_t kAllRows = static_cast<size_t>(-1);
+
   /// Per-pass activation cache; owned by the caller so that concurrent
   /// forward/backward passes can share one (const) layer. Also owns the
   /// forward pass's scratch buffers: a warm cache makes repeated
   /// ForwardInto calls allocation-free (all members resize in place).
+  ///
+  /// The query side (`q`, `probs`, `concat`) covers every row after
+  /// ForwardInto, and only row `query_row` after ForwardRowInto; keys and
+  /// values always cover every row.
   struct Cache {
     Matrix x;                     // input, n×d
-    Matrix q, k, v;               // projections, n×d
-    std::vector<Matrix> probs;    // per-head softmax, n×n
-    Matrix concat;                // concatenated head outputs, n×d
+    Matrix q, k, v;               // projections: q m×d, k and v n×d
+    std::vector<Matrix> probs;    // per-head softmax, m×n
+    Matrix concat;                // concatenated head outputs, m×d
     size_t valid_n = 0;
+    size_t query_row = kAllRows;  // m = n when kAllRows, else m = 1
+    Matrix x_row;                 // input row `query_row` (row passes)
     // Scratch (not consumed by Backward): per-head slices and the padding
     // mask, kept here so steady-state inference reuses their buffers.
-    Matrix qh, kh, vh, oh;        // n×head_dim
+    Matrix qh, kh, vh, oh;        // m×head_dim or n×head_dim
     std::vector<uint8_t> col_mask;
   };
 
   /// Parameter gradients, accumulated by Backward.
   struct Grads {
     Matrix dwq, dwk, dwv, dwo;
+  };
+
+  /// Destinations BackwardInto accumulates into (they may live in any
+  /// caller-owned store, e.g. the Q-network's flat gradient list).
+  struct GradRefs {
+    Matrix* dwq;
+    Matrix* dwk;
+    Matrix* dwv;
+    Matrix* dwo;
+  };
+
+  /// Backward temporaries; a warm scratch makes BackwardInto
+  /// allocation-free.
+  struct BackwardScratch {
+    Matrix dy, dconcat, dq, dk, dv;
+    Matrix doh, qh, kh, vh;                 // per-head slices
+    Matrix dprobs, dscores, dqh, dkh, dvh;  // per-head gradients
+    Matrix projected;                       // one dX term
   };
 
   MultiHeadSelfAttention() = default;
@@ -69,10 +96,28 @@ class MultiHeadSelfAttention {
   void ForwardInto(const Matrix& x, size_t valid_n, Cache* cache,
                    Matrix* out) const;
 
+  /// Output row `row` only, as a 1×dim matrix: keys and values still
+  /// project every row (the row attends to all of them), but the query,
+  /// softmax, P·V and W_O run for that row alone. Each element goes
+  /// through the same operations as in ForwardInto, so the result is
+  /// bit-identical to row `row` of ForwardInto's output.
+  void ForwardRowInto(const Matrix& x, size_t valid_n, size_t row,
+                      Cache* cache, Matrix* out) const;
+
   /// Backward: upstream gradient `grad_out` (n×dim) → input gradient
   /// (n×dim); parameter grads are accumulated into `grads`.
   Matrix Backward(const Matrix& grad_out, const Cache& cache,
                   Grads* grads) const;
+
+  /// Destination-passing Backward of either forward: `grad_out` covers the
+  /// cache's query rows (n×dim after ForwardInto, 1×dim after
+  /// ForwardRowInto); the n×dim input gradient goes to `*dx`. After a row
+  /// pass, dW_O, dW_Q and the per-head dK/dV are rank-1 and the softmax
+  /// backward runs on one row — the operations of the dense backward that
+  /// the zero rows of its upstream gradient do not reach.
+  void BackwardInto(const Matrix& grad_out, const Cache& cache,
+                    const GradRefs& grads, BackwardScratch* scratch,
+                    Matrix* dx) const;
 
   /// Zero-initialized gradient store with matching shapes.
   Grads MakeGrads() const;
@@ -91,6 +136,11 @@ class MultiHeadSelfAttention {
 
  private:
   size_t head_dim() const { return wq_.cols() / num_heads_; }
+  /// Shared forward tail: projects keys and values of cache->x, attends the
+  /// query rows `xq` (the first `valid_q` of them real) and writes
+  /// concat·W_O to `*out`.
+  void AttendInto(const Matrix& xq, size_t valid_q, Cache* cache,
+                  Matrix* out) const;
 
   Matrix wq_, wk_, wv_;  // dim×dim, heads laid out in column blocks
   Matrix wo_;            // dim×dim

@@ -25,20 +25,36 @@ Matrix Linear::Forward(const Matrix& x, Matrix* pre_activation) const {
 
 Matrix Linear::Backward(const Matrix& x, const Matrix& pre_activation,
                         const Matrix& grad_out, Matrix* dw, Matrix* db) const {
+  Matrix dz, dx;
+  BackwardInto(x, pre_activation, grad_out, dw, db, &dz, &dx);
+  return dx;
+}
+
+void Linear::BackwardInto(const Matrix& x, const Matrix& pre_activation,
+                          const Matrix& grad_out, Matrix* dw, Matrix* db,
+                          Matrix* dz, Matrix* dx) const {
   CROWDRL_CHECK(dw->rows() == w_.rows() && dw->cols() == w_.cols());
   CROWDRL_CHECK(db->rows() == 1 && db->cols() == b_.cols());
-  Matrix dz = grad_out;
+  CROWDRL_CHECK(pre_activation.rows() == grad_out.rows() &&
+                pre_activation.cols() == grad_out.cols());
+  CROWDRL_CHECK(dz != &grad_out && dz != dx);
+  *dz = grad_out;
   if (act_ == Activation::kRelu) {
-    dz = dz.CwiseProduct(pre_activation.ReluMask());
+    // dz ∘= ReluMask(pre): a multiply by 1 or 0, as the mask product does.
+    float* d = dz->data();
+    const float* pre = pre_activation.data();
+    for (size_t i = 0; i < dz->size(); ++i) {
+      d[i] *= pre[i] > 0.0f ? 1.0f : 0.0f;
+    }
   }
   // dW += xᵀ · dz ; db += column-sum(dz) ; dx = dz · Wᵀ.
-  MatmulTransposeAAccumulate(x, dz, dw);
-  for (size_t r = 0; r < dz.rows(); ++r) {
-    const float* row = dz.row_data(r);
+  MatmulTransposeAAccumulate(x, *dz, dw);
+  for (size_t r = 0; r < dz->rows(); ++r) {
+    const float* row = dz->row_data(r);
     float* acc = db->row_data(0);
-    for (size_t c = 0; c < dz.cols(); ++c) acc[c] += row[c];
+    for (size_t c = 0; c < dz->cols(); ++c) acc[c] += row[c];
   }
-  return MatmulTransposeB(dz, w_);
+  if (dx != nullptr) MatmulTransposeBInto(*dz, w_, dx);
 }
 
 Status Linear::Save(std::ostream* os) const {

@@ -51,6 +51,15 @@ class Linear {
   Matrix Backward(const Matrix& x, const Matrix& pre_activation,
                   const Matrix& grad_out, Matrix* dw, Matrix* db) const;
 
+  /// Destination-passing Backward: `*dz` is scratch that receives
+  /// d(loss)/d(x·W+b), the input gradient goes to `*dx` (skipped when `dx`
+  /// is null — the first layer's input gradient is never read). Both are
+  /// resized in place, so a warm call allocates nothing. Neither may alias
+  /// an input.
+  void BackwardInto(const Matrix& x, const Matrix& pre_activation,
+                    const Matrix& grad_out, Matrix* dw, Matrix* db,
+                    Matrix* dz, Matrix* dx) const;
+
   Matrix& weights() { return w_; }
   const Matrix& weights() const { return w_; }
   Matrix& bias() { return b_; }

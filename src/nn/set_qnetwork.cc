@@ -27,10 +27,35 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x, size_t valid_n,
   CROWDRL_CHECK(valid_n <= x.rows());
   c->x = x;
   c->valid_n = valid_n;
-  rff1_.ForwardInto(x, &c->pre1, &c->h1);
+  c->query_row = MultiHeadSelfAttention::kAllRows;
+  return ForwardCached(c);
+}
+
+float SetQNetwork::ForwardAction(const Matrix& x, size_t valid_n,
+                                 size_t action_row, Cache* c) const {
+  CROWDRL_CHECK(x.cols() == config_.input_dim);
+  CROWDRL_CHECK(valid_n <= x.rows());
+  CROWDRL_CHECK(action_row < x.rows());
+  if (config_.use_attention) {
+    c->x = x;
+    c->valid_n = valid_n;
+    c->query_row = action_row;
+  } else {
+    // Every layer is row-wise, so Q(s, a) reads row a alone.
+    c->x.Resize(1, x.cols());
+    c->x.SetRow(0, x, action_row);
+    c->valid_n = 1;
+    c->query_row = MultiHeadSelfAttention::kAllRows;
+  }
+  return ForwardCached(c)(0, 0);
+}
+
+const Matrix& SetQNetwork::ForwardCached(Cache* c) const {
+  const bool all_rows = c->query_row == MultiHeadSelfAttention::kAllRows;
+  rff1_.ForwardInto(c->x, &c->pre1, &c->h1);
   rff2_.ForwardInto(c->h1, &c->pre2, &c->h2);
   if (config_.use_attention) {
-    attn1_.ForwardInto(c->h2, valid_n, &c->attn1, &c->a1);
+    attn1_.ForwardInto(c->h2, c->valid_n, &c->attn1, &c->a1);
     c->r1 = c->h2;
     c->r1 += c->a1;
   } else {
@@ -38,8 +63,15 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x, size_t valid_n,
   }
   rff3_.ForwardInto(c->r1, &c->pre3, &c->h3);
   if (config_.use_attention) {
-    attn2_.ForwardInto(c->h3, valid_n, &c->attn2, &c->a2);
-    c->r2 = c->h3;
+    if (all_rows) {
+      attn2_.ForwardInto(c->h3, c->valid_n, &c->attn2, &c->a2);
+      c->r2 = c->h3;
+    } else {
+      attn2_.ForwardRowInto(c->h3, c->valid_n, c->query_row, &c->attn2,
+                            &c->a2);
+      c->r2.Resize(1, c->h3.cols());
+      c->r2.SetRow(0, c->h3, c->query_row);
+    }
     c->r2 += c->a2;
   } else {
     c->r2 = c->h3;
@@ -72,50 +104,50 @@ void SetQNetwork::QValuesInto(const Matrix& x, size_t valid_n, Cache* cache,
 
 void SetQNetwork::Backward(const Matrix& grad_q, const Cache& cache,
                            Gradients* grads) const {
+  BackwardScratch scratch;
+  BackwardInto(grad_q, cache, &scratch, grads);
+}
+
+void SetQNetwork::BackwardInto(const Matrix& grad_q, const Cache& cache,
+                               BackwardScratch* s, Gradients* grads) const {
   CROWDRL_CHECK(grads->g.size() == 16);
+  std::vector<Matrix>& g = grads->g;
   // Gradient store layout (must match Params()):
   //  0: rff1.W  1: rff1.b   2: rff2.W  3: rff2.b
   //  4..7:  attn1 {Wq, Wk, Wv, Wo}
   //  8: rff3.W  9: rff3.b
   // 10..13: attn2 {Wq, Wk, Wv, Wo}
   // 14: out.W 15: out.b
-  Matrix dr2 =
-      out_.Backward(cache.r2, cache.pre_out, grad_q, &grads->g[14],
-                    &grads->g[15]);
-  Matrix dh3;
+  out_.BackwardInto(cache.r2, cache.pre_out, grad_q, &g[14], &g[15], &s->dz,
+                    &s->dr2);
+  const Matrix* dh3 = &s->dr2;
   if (config_.use_attention) {
-    // R2 = H3 + MHSA2(H3): gradient flows through both branches.
-    MultiHeadSelfAttention::Grads a2g{grads->g[10], grads->g[11],
-                                      grads->g[12], grads->g[13]};
-    dh3 = attn2_.Backward(dr2, cache.attn2, &a2g);
-    grads->g[10] = std::move(a2g.dwq);
-    grads->g[11] = std::move(a2g.dwk);
-    grads->g[12] = std::move(a2g.dwv);
-    grads->g[13] = std::move(a2g.dwo);
-    dh3 += dr2;
-  } else {
-    dh3 = dr2;
+    // R2 = H3 + MHSA2(H3): gradient flows through both branches; the
+    // residual branch reaches the query rows only.
+    attn2_.BackwardInto(s->dr2, cache.attn2, {&g[10], &g[11], &g[12], &g[13]},
+                        &s->attn, &s->dh3);
+    if (cache.query_row == MultiHeadSelfAttention::kAllRows) {
+      s->dh3 += s->dr2;
+    } else {
+      s->dh3.AddToRow(cache.query_row, s->dr2);
+    }
+    dh3 = &s->dh3;
   }
 
-  Matrix dr1 = rff3_.Backward(cache.r1, cache.pre3, dh3, &grads->g[8],
-                              &grads->g[9]);
-  Matrix dh2;
+  rff3_.BackwardInto(cache.r1, cache.pre3, *dh3, &g[8], &g[9], &s->dz,
+                     &s->dr1);
+  const Matrix* dh2 = &s->dr1;
   if (config_.use_attention) {
-    MultiHeadSelfAttention::Grads a1g{grads->g[4], grads->g[5], grads->g[6],
-                                      grads->g[7]};
-    dh2 = attn1_.Backward(dr1, cache.attn1, &a1g);
-    grads->g[4] = std::move(a1g.dwq);
-    grads->g[5] = std::move(a1g.dwk);
-    grads->g[6] = std::move(a1g.dwv);
-    grads->g[7] = std::move(a1g.dwo);
-    dh2 += dr1;
-  } else {
-    dh2 = dr1;
+    attn1_.BackwardInto(s->dr1, cache.attn1, {&g[4], &g[5], &g[6], &g[7]},
+                        &s->attn, &s->dh2);
+    s->dh2 += s->dr1;
+    dh2 = &s->dh2;
   }
 
-  Matrix dh1 = rff2_.Backward(cache.h1, cache.pre2, dh2, &grads->g[2],
-                              &grads->g[3]);
-  rff1_.Backward(cache.x, cache.pre1, dh1, &grads->g[0], &grads->g[1]);
+  rff2_.BackwardInto(cache.h1, cache.pre2, *dh2, &g[2], &g[3], &s->dz,
+                     &s->dh1);
+  rff1_.BackwardInto(cache.x, cache.pre1, s->dh1, &g[0], &g[1], &s->dz,
+                     /*dx=*/nullptr);
 }
 
 SetQNetwork::Gradients SetQNetwork::MakeGradients() const {

@@ -47,6 +47,11 @@ class SetQNetwork {
   /// Per-pass activation cache (inputs + intermediates for backprop). A
   /// warm cache makes ForwardInto allocation-free: every member resizes in
   /// place, so steady-state inference touches no heap.
+  ///
+  /// After ForwardInto every row is a query row: r2, pre_out and q_out
+  /// cover all n rows. After ForwardAction with attention they cover the
+  /// action row alone (`query_row`); without attention the whole stack ran
+  /// on that row, so `x` itself is the one row.
   struct Cache {
     Matrix x;
     Matrix pre1, h1;  // rFF1
@@ -57,8 +62,18 @@ class SetQNetwork {
     MultiHeadSelfAttention::Cache attn2;
     Matrix a2, r2;
     Matrix pre_out;
-    Matrix q_out;  // n×1 Q column, owned here so ForwardInto returns a view
+    Matrix q_out;  // Q column of the query rows, owned here so ForwardInto
+                   // returns a view
     size_t valid_n = 0;
+    size_t query_row = MultiHeadSelfAttention::kAllRows;
+  };
+
+  /// Backward temporaries; a warm scratch makes BackwardInto
+  /// allocation-free.
+  struct BackwardScratch {
+    Matrix dz;                  // pre-activation gradient of one rFF layer
+    Matrix dr2, dh3, dr1, dh2, dh1;
+    MultiHeadSelfAttention::BackwardScratch attn;
   };
 
   /// Flat gradient store; entry order matches Params().
@@ -94,6 +109,17 @@ class SetQNetwork {
   const Matrix& ForwardInto(const Matrix& x, size_t valid_n,
                             Cache* cache) const;
 
+  /// The learner's training forward: Q(s, a) for `action_row` alone, with
+  /// `cache` filled for BackwardInto. rFF1–rFF3, attention 1 and
+  /// attention 2's keys and values still run over every row (row a attends
+  /// to all of them), but attention 2's query, softmax, P·V and W_O, the
+  /// residual and the output layer run for row a only; without attention
+  /// the whole stack runs on row a. Every element goes through the same
+  /// float operations as in ForwardInto, so the value is bit-identical to
+  /// ForwardInto(x, valid_n)(action_row, 0).
+  float ForwardAction(const Matrix& x, size_t valid_n, size_t action_row,
+                      Cache* cache) const;
+
   /// Convenience: forward and extract Q values of the valid rows.
   std::vector<double> QValues(const Matrix& x, size_t valid_n) const;
 
@@ -102,8 +128,22 @@ class SetQNetwork {
   void QValuesInto(const Matrix& x, size_t valid_n, Cache* cache,
                    std::vector<double>* out) const;
 
-  /// Backprop `grad_q` (n×1, zeros on non-action rows) through the network,
-  /// accumulating parameter gradients into `grads`.
+  /// Backprop `grad_q` (shaped like `cache.q_out`) through the pass that
+  /// filled `cache`, accumulating parameter gradients into `grads`; all
+  /// temporaries live in `*scratch` (allocation-free once warm). After
+  /// ForwardAction, `grad_q` is the 1×1 gradient of Q(s, a): wherever the
+  /// upstream gradient is nonzero on that row only — the output layer,
+  /// attention 2's W_O, query and softmax, and its rank-1 per-head dK/dV —
+  /// only that row is processed. rFF1's input gradient is never computed.
+  /// This is the learner's training backward.
+  void BackwardInto(const Matrix& grad_q, const Cache& cache,
+                    BackwardScratch* scratch, Gradients* grads) const;
+
+  /// Dense reference backward: `grad_q` is the n×1 column of a ForwardInto
+  /// pass (zeros on non-action rows). The learner trains through
+  /// ForwardAction + BackwardInto instead, which skips the rows this
+  /// pass spends on zeros; tests keep this form as the reference the
+  /// action-row pass must match bit for bit.
   void Backward(const Matrix& grad_q, const Cache& cache,
                 Gradients* grads) const;
 
@@ -127,6 +167,10 @@ class SetQNetwork {
   Status LoadFromFile(const std::string& path);
 
  private:
+  /// Runs the stack over `cache->x` for the query rows `cache->query_row`
+  /// selects; returns `cache->q_out`.
+  const Matrix& ForwardCached(Cache* cache) const;
+
   SetQNetworkConfig config_;
   Linear rff1_, rff2_, rff3_, out_;
   MultiHeadSelfAttention attn1_, attn2_;

@@ -230,30 +230,34 @@ Status ArrivalModel::Save(std::ostream* os) const {
 }
 
 Status ArrivalModel::Load(std::istream* is) {
-  CROWDRL_RETURN_NOT_OK(phi_.Load(is));
-  CROWDRL_RETURN_NOT_OK(varphi_.Load(is));
+  // Parse into a staged model and commit only after every entry has been
+  // read, so a failed load leaves this model untouched.
+  ArrivalModel staged(config_);
+  CROWDRL_RETURN_NOT_OK(staged.phi_.Load(is));
+  CROWDRL_RETURN_NOT_OK(staged.varphi_.Load(is));
   uint64_t n = 0;
-  is->read(reinterpret_cast<char*>(&last_arrival_time_),
-           sizeof(last_arrival_time_));
-  is->read(reinterpret_cast<char*>(&decayed_new_), sizeof(decayed_new_));
-  is->read(reinterpret_cast<char*>(&decayed_total_), sizeof(decayed_total_));
-  is->read(reinterpret_cast<char*>(&num_arrivals_), sizeof(num_arrivals_));
+  is->read(reinterpret_cast<char*>(&staged.last_arrival_time_),
+           sizeof(staged.last_arrival_time_));
+  is->read(reinterpret_cast<char*>(&staged.decayed_new_),
+           sizeof(staged.decayed_new_));
+  is->read(reinterpret_cast<char*>(&staged.decayed_total_),
+           sizeof(staged.decayed_total_));
+  is->read(reinterpret_cast<char*>(&staged.num_arrivals_),
+           sizeof(staged.num_arrivals_));
   is->read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!is->good() || n > (1u << 28)) {
     return Status::IoError("arrival model header read failed");
   }
-  seen_order_.clear();
-  last_arrival_.clear();
-  seen_order_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     int64_t id = 0;
     SimTime last = 0;
     is->read(reinterpret_cast<char*>(&id), sizeof(id));
     is->read(reinterpret_cast<char*>(&last), sizeof(last));
     if (!is->good()) return Status::IoError("arrival model entry failed");
-    seen_order_.push_back(static_cast<int>(id));
-    last_arrival_.emplace(static_cast<int>(id), last);
+    staged.seen_order_.push_back(static_cast<int>(id));
+    staged.last_arrival_.emplace(static_cast<int>(id), last);
   }
+  *this = std::move(staged);
   return Status::OK();
 }
 

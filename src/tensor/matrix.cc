@@ -60,6 +60,13 @@ void Matrix::SetRow(size_t r, const Matrix& src, size_t src_row) {
   std::memcpy(row_data(r), src.row_data(src_row), cols_ * sizeof(float));
 }
 
+void Matrix::AddToRow(size_t r, const Matrix& src, size_t src_row) {
+  CROWDRL_CHECK(r < rows_ && src_row < src.rows_ && src.cols_ == cols_);
+  float* dst = row_data(r);
+  const float* add = src.row_data(src_row);
+  for (size_t c = 0; c < cols_; ++c) dst[c] += add[c];
+}
+
 void Matrix::SetRow(size_t r, const std::vector<float>& src) {
   CROWDRL_CHECK(r < rows_ && src.size() == cols_);
   std::memcpy(row_data(r), src.data(), cols_ * sizeof(float));

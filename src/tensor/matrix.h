@@ -83,6 +83,8 @@ class Matrix {
   /// Copies `src` (1×cols or a row of equal width) into row `r`.
   void SetRow(size_t r, const Matrix& src, size_t src_row = 0);
   void SetRow(size_t r, const std::vector<float>& src);
+  /// Adds row `src_row` of `src` (equal width) onto row `r`.
+  void AddToRow(size_t r, const Matrix& src, size_t src_row = 0);
   /// Returns row `r` as a 1×cols matrix.
   Matrix GetRow(size_t r) const;
   /// Returns rows [begin, end) as a new matrix.

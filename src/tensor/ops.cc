@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #ifdef CROWDRL_HAVE_AVX2
 #include <immintrin.h>
@@ -19,135 +20,161 @@ bool KernelUsesAvx2() {
 
 namespace {
 
-/// crow += av·brow over n entries (one axpy stream).
-inline void Axpy1(float* crow, const float* brow, float av, size_t n) {
-#ifdef CROWDRL_HAVE_AVX2
-  const __m256 va = _mm256_set1_ps(av);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(
-        crow + j,
-        _mm256_fmadd_ps(va, _mm256_loadu_ps(brow + j),
-                        _mm256_loadu_ps(crow + j)));
-  }
-  for (; j < n; ++j) crow[j] += av * brow[j];
-#else
-  for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-#endif
-}
+inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
 
-/// Four independent axpy streams sharing one read of brow: the register
-/// block of the matmul kernels. Four accumulator streams amortize the B
-/// load 4× and give the compiler (or the explicit FMA path) independent
-/// dependency chains.
-inline void Axpy4(float* c0, float* c1, float* c2, float* c3,
-                  const float* brow, float a0, float a1, float a2, float a3,
-                  size_t n) {
+// One SIMD register of floats. Every kernel below is written against these
+// few helpers, so the portable and the AVX2 build share one body per
+// kernel. Per lane, MulAdd is the scalar loop's `acc + a·b`: two roundings
+// (product, then sum) in the portable build, one fused multiply-add under
+// AVX2.
 #ifdef CROWDRL_HAVE_AVX2
-  const __m256 v0 = _mm256_set1_ps(a0);
-  const __m256 v1 = _mm256_set1_ps(a1);
-  const __m256 v2 = _mm256_set1_ps(a2);
-  const __m256 v3 = _mm256_set1_ps(a3);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 vb = _mm256_loadu_ps(brow + j);
-    _mm256_storeu_ps(c0 + j, _mm256_fmadd_ps(v0, vb, _mm256_loadu_ps(c0 + j)));
-    _mm256_storeu_ps(c1 + j, _mm256_fmadd_ps(v1, vb, _mm256_loadu_ps(c1 + j)));
-    _mm256_storeu_ps(c2 + j, _mm256_fmadd_ps(v2, vb, _mm256_loadu_ps(c2 + j)));
-    _mm256_storeu_ps(c3 + j, _mm256_fmadd_ps(v3, vb, _mm256_loadu_ps(c3 + j)));
-  }
-  for (; j < n; ++j) {
-    const float bv = brow[j];
-    c0[j] += a0 * bv;
-    c1[j] += a1 * bv;
-    c2[j] += a2 * bv;
-    c3[j] += a3 * bv;
-  }
-#else
-  for (size_t j = 0; j < n; ++j) {
-    const float bv = brow[j];
-    c0[j] += a0 * bv;
-    c1[j] += a1 * bv;
-    c2[j] += a2 * bv;
-    c3[j] += a3 * bv;
-  }
-#endif
+using Lanes = __m256;
+constexpr size_t kLanes = 8;
+inline Lanes ZeroLanes() { return _mm256_setzero_ps(); }
+inline Lanes Splat(float a) { return _mm256_set1_ps(a); }
+inline Lanes LoadLanes(const float* p) { return _mm256_loadu_ps(p); }
+inline void StoreLanes(float* p, Lanes v) { _mm256_storeu_ps(p, v); }
+inline Lanes MulAdd(Lanes acc, Lanes a, Lanes b) {
+  return _mm256_fmadd_ps(a, b, acc);
 }
-
-/// Dot with a reassociated reduction: independent partial sums (8-wide FMA
-/// under AVX2, four scalar lanes otherwise) so the k loop vectorizes.
-/// Bounded-epsilon tier — a float reduction cannot vectorize in-order.
-inline float DotBlocked(const float* a, const float* b, size_t n) {
-#ifdef CROWDRL_HAVE_AVX2
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                          acc);
-  }
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
+/// Horizontal sum of the eight partial sums of a blocked dot product.
+inline float SumLanes(Lanes v) {
+  const __m128 lo = _mm256_castps256_ps128(v);
+  const __m128 hi = _mm256_extractf128_ps(v, 1);
   __m128 s = _mm_add_ps(lo, hi);
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  float out = _mm_cvtss_f32(s);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
+  return _mm_cvtss_f32(s);
+}
 #else
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  float out = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
+// A GCC/Clang vector of four floats: element-wise IEEE arithmetic that
+// the compiler lowers to SSE (or whatever the target has, down to plain
+// scalar code), with the accumulators held in registers — plain float
+// arrays of the same shape get spilled to the stack on every k step.
+typedef float Lanes __attribute__((vector_size(16)));
+constexpr size_t kLanes = 4;
+inline Lanes ZeroLanes() { return Lanes{0.0f, 0.0f, 0.0f, 0.0f}; }
+inline Lanes Splat(float a) { return Lanes{a, a, a, a}; }
+inline Lanes LoadLanes(const float* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void StoreLanes(float* p, Lanes v) { std::memcpy(p, &v, sizeof(v)); }
+inline Lanes MulAdd(Lanes acc, Lanes a, Lanes b) { return acc + a * b; }
+/// The fixed four-lane combine of a blocked dot product.
+inline float SumLanes(Lanes v) { return (v[0] + v[1]) + (v[2] + v[3]); }
 #endif
+
+/// One R×W register tile of a matrix product, shared by MatmulInto (C = A·B,
+/// accumulators start at zero) and the Aᵀ·B kernels (C += Aᵀ·B, they start
+/// from C's contents; `kTransA` reads A(kk, i) instead of A(i, kk)).
+/// The tile's C elements stay in accumulators across the whole k loop, so
+/// each is loaded (or zeroed) once and stored once, and each B row segment
+/// is read once per R rows. Per element the update sequence is exactly the
+/// scalar loop's — acc ← acc + a·b for k ascending — so moving the partial
+/// sums into registers changes no rounding step. W = 1 is the column tail,
+/// kept in plain floats.
+template <size_t R, size_t W, bool kTransA>
+inline void ProductTile(const Matrix& a, const Matrix& b, Matrix* c,
+                        size_t i0, size_t j0, size_t k) {
+  float* crow[R];
+  for (size_t r = 0; r < R; ++r) crow[r] = c->row_data(i0 + r) + j0;
+  const auto a_at = [&](size_t r, size_t kk) {
+    return kTransA ? a.row_data(kk)[i0 + r] : a.row_data(i0 + r)[kk];
+  };
+  if constexpr (W == 1) {
+    float acc[R];
+    for (size_t r = 0; r < R; ++r) acc[r] = kTransA ? crow[r][0] : 0.0f;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float bv = b.row_data(kk)[j0];
+      for (size_t r = 0; r < R; ++r) acc[r] += a_at(r, kk) * bv;
+    }
+    for (size_t r = 0; r < R; ++r) crow[r][0] = acc[r];
+  } else {
+    static_assert(W % kLanes == 0, "tile width must be whole registers");
+    constexpr size_t V = W / kLanes;
+    Lanes acc[R][V];
+    for (size_t r = 0; r < R; ++r) {
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = kTransA ? LoadLanes(crow[r] + v * kLanes) : ZeroLanes();
+      }
+    }
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float* brow = b.row_data(kk) + j0;
+      for (size_t r = 0; r < R; ++r) {
+        const Lanes av = Splat(a_at(r, kk));
+        for (size_t v = 0; v < V; ++v) {
+          acc[r][v] = MulAdd(acc[r][v], av, LoadLanes(brow + v * kLanes));
+        }
+      }
+    }
+    for (size_t r = 0; r < R; ++r) {
+      for (size_t v = 0; v < V; ++v) {
+        StoreLanes(crow[r] + v * kLanes, acc[r][v]);
+      }
+    }
+  }
 }
 
-inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
+/// Covers rows [i0, i0+R) of the m×n product: 8-wide tiles, then one-column
+/// tails. A lone row (R = 1) first takes 32-wide tiles, so it still keeps
+/// enough independent accumulators in flight to hide the add latency.
+template <size_t R, bool kTransA>
+inline void ProductRowBlock(const Matrix& a, const Matrix& b, Matrix* c,
+                            size_t i0, size_t n, size_t k) {
+  size_t j = 0;
+  if constexpr (R == 1) {
+    for (; j + 32 <= n; j += 32) ProductTile<1, 32, kTransA>(a, b, c, i0, j, k);
+  }
+  for (; j + 8 <= n; j += 8) ProductTile<R, 8, kTransA>(a, b, c, i0, j, k);
+  for (; j < n; ++j) ProductTile<R, 1, kTransA>(a, b, c, i0, j, k);
+}
+
+/// The tiled product both bit-exact matmuls run: 4-row blocks, then a
+/// one-row tail. `*c` must already have the product's shape.
+template <bool kTransA>
+void TiledProduct(const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t m = kTransA ? a.cols() : a.rows();
+  const size_t k = kTransA ? a.rows() : a.cols();
+  const size_t n = b.cols();
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) ProductRowBlock<4, kTransA>(a, b, c, i, n, k);
+  for (; i < m; ++i) ProductRowBlock<1, kTransA>(a, b, c, i, n, k);
+}
+
+/// Q dot products a·b[q] at once, each with a reassociated reduction:
+/// kLanes independent partial sums so the k loop vectorizes, combined by
+/// SumLanes, then a sequential tail. Sharing the loads of `a` across Q
+/// outputs changes no output's operation sequence, so Q = 4 and Q = 1 give
+/// the same bits. (A float reduction cannot vectorize in order, so this is
+/// bounded-epsilon against the sequential Dot.)
+template <size_t Q>
+inline void DotBlocked(const float* a, const float* const* b, size_t n,
+                       float* out) {
+  Lanes acc[Q];
+  for (size_t q = 0; q < Q; ++q) acc[q] = ZeroLanes();
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const Lanes va = LoadLanes(a + i);
+    for (size_t q = 0; q < Q; ++q) {
+      acc[q] = MulAdd(acc[q], va, LoadLanes(b[q] + i));
+    }
+  }
+  for (size_t q = 0; q < Q; ++q) {
+    float sum = SumLanes(acc[q]);
+    for (size_t t = i; t < n; ++t) sum += a[t] * b[q][t];
+    out[q] = sum;
+  }
+}
 
 }  // namespace
 
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c->Resize(m, n);
-  // i-k-j ordering with a 4-row register block: the inner loop runs over
-  // contiguous rows of B and C (independent FMA streams), and each B row
-  // is read once per four C rows. Per-element accumulation stays in k
-  // order, so this is bit-identical to the plain scalar loop.
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    float* c0 = c->row_data(i);
-    float* c1 = c->row_data(i + 1);
-    float* c2 = c->row_data(i + 2);
-    float* c3 = c->row_data(i + 3);
-    ZeroRow(c0, n);
-    ZeroRow(c1, n);
-    ZeroRow(c2, n);
-    ZeroRow(c3, n);
-    const float* a0 = a.row_data(i);
-    const float* a1 = a.row_data(i + 1);
-    const float* a2 = a.row_data(i + 2);
-    const float* a3 = a.row_data(i + 3);
-    for (size_t kk = 0; kk < k; ++kk) {
-      Axpy4(c0, c1, c2, c3, b.row_data(kk), a0[kk], a1[kk], a2[kk], a3[kk],
-            n);
-    }
-  }
-  for (; i < m; ++i) {
-    float* crow = c->row_data(i);
-    ZeroRow(crow, n);
-    const float* arow = a.row_data(i);
-    for (size_t kk = 0; kk < k; ++kk) {
-      Axpy1(crow, b.row_data(kk), arow[kk], n);
-    }
-  }
+  c->Resize(a.rows(), b.cols());
+  TiledProduct</*kTransA=*/false>(a, b, c);
 }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
@@ -164,8 +191,15 @@ void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   for (size_t i = 0; i < m; ++i) {
     const float* arow = a.row_data(i);
     float* crow = c->row_data(i);
-    for (size_t j = 0; j < n; ++j) {
-      crow[j] = DotBlocked(arow, b.row_data(j), k);
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const float* brows[4] = {b.row_data(j), b.row_data(j + 1),
+                               b.row_data(j + 2), b.row_data(j + 3)};
+      DotBlocked<4>(arow, brows, k, crow + j);
+    }
+    for (; j < n; ++j) {
+      const float* brow = b.row_data(j);
+      DotBlocked<1>(arow, &brow, k, crow + j);
     }
   }
 }
@@ -176,35 +210,12 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-namespace {
-
-/// Shared k-i-j accumulation core of the Aᵀ·B kernels; assumes *c is
-/// already shaped m×n and holds the values to accumulate onto.
-void MatmulTransposeACore(const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a.row_data(kk);
-    const float* brow = b.row_data(kk);
-    size_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-      Axpy4(c->row_data(i), c->row_data(i + 1), c->row_data(i + 2),
-            c->row_data(i + 3), brow, arow[i], arow[i + 1], arow[i + 2],
-            arow[i + 3], n);
-    }
-    for (; i < m; ++i) {
-      Axpy1(c->row_data(i), brow, arow[i], n);
-    }
-  }
-}
-
-}  // namespace
-
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
   c->Resize(a.cols(), b.cols());
   c->SetZero();
-  MatmulTransposeACore(a, b, c);
+  TiledProduct</*kTransA=*/true>(a, b, c);
 }
 
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
@@ -217,7 +228,7 @@ void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
   CROWDRL_CHECK(c != &a && c != &b);
-  MatmulTransposeACore(a, b, c);
+  TiledProduct</*kTransA=*/true>(a, b, c);
 }
 
 namespace {
@@ -312,18 +323,25 @@ void SoftmaxRowsInPlace(Matrix* m, const std::vector<uint8_t>* col_mask,
   ScaledMaskedSoftmaxRowsInPlace(m, 1.0f, col_mask, valid_rows);
 }
 
-Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs) {
+void SoftmaxRowsBackwardInto(const Matrix& probs, const Matrix& grad_probs,
+                             Matrix* out) {
   CROWDRL_CHECK(probs.rows() == grad_probs.rows() &&
                 probs.cols() == grad_probs.cols());
-  Matrix out(probs.rows(), probs.cols());
+  CROWDRL_CHECK(out != &probs && out != &grad_probs);
+  out->Resize(probs.rows(), probs.cols());
   for (size_t r = 0; r < probs.rows(); ++r) {
     const float* p = probs.row_data(r);
     const float* dp = grad_probs.row_data(r);
     float inner = 0.0f;
     for (size_t c = 0; c < probs.cols(); ++c) inner += p[c] * dp[c];
-    float* o = out.row_data(r);
+    float* o = out->row_data(r);
     for (size_t c = 0; c < probs.cols(); ++c) o[c] = p[c] * (dp[c] - inner);
   }
+}
+
+Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs) {
+  Matrix out;
+  SoftmaxRowsBackwardInto(probs, grad_probs, &out);
   return out;
 }
 

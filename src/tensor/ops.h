@@ -18,18 +18,31 @@ namespace crowdrl {
 /// Two implementation tiers exist (the "tolerance ladder" the kernel tests
 /// enforce; see tests/tensor/kernel_equivalence_test.cc):
 ///
-///  * **bit-exact tier** — `Matmul` and `MatmulTransposeA` keep the scalar
-///    per-element reduction order (k ascending), so blocking changes which
-///    rows are streamed together but not a single rounding step: results
-///    are bit-identical to the plain scalar loops in `reference::`.
-///  * **bounded-epsilon tier** — `MatmulTransposeB` splits its dot-product
-///    reduction into independent partial sums so it can vectorize (a float
-///    reduction cannot be vectorized without reassociating), and every
-///    kernel compiled under `CROWDRL_ENABLE_AVX2` uses 8-wide FMA. Both
-///    reassociate, so these agree with the reference only to a k-scaled
+///  * **bit-exact tier** (scalar build) — `Matmul` and `MatmulTransposeA`
+///    keep the scalar per-element reduction order (k ascending): they run
+///    4-row × 8-column register tiles whose accumulators live across the
+///    whole k loop, which moves where partial sums live but not a single
+///    rounding step, so results are bit-identical to the plain scalar
+///    loops in `reference::`. `MatmulTransposeB` computes four dot
+///    products at a time, each with the same fixed four-lane reduction
+///    (lane sums, `(s0 + s1) + (s2 + s3)`, sequential tail), so it is
+///    bit-exact against that four-lane reduction — though not against the
+///    sequential `reference::MatmulTransposeB`, from which it stays a
+///    k-scaled epsilon away (a float reduction cannot vectorize in order).
+///  * **bounded-epsilon tier** — every kernel compiled under
+///    `CROWDRL_ENABLE_AVX2` uses 8-wide FMA (per-element FMA order inside
+///    the tiles is kept, but an FMA rounds once where the scalar loop
+///    rounds twice), and `MatmulTransposeAAccumulate` interleaves with C's
+///    prior contents. These agree with the references only to a k-scaled
 ///    epsilon. They remain deterministic: the same inputs always produce
 ///    the same bits, which is all the serial == service equivalence chain
 ///    needs.
+///
+/// The learner depends on the scalar build's exactness: its action-row
+/// training pass (SetQNetwork::ForwardAction/BackwardAction) runs the same
+/// per-element operations on a single row that the dense pass runs on
+/// every row, and only that keeps perfbench's recorded quality rows
+/// reproducible bit for bit.
 ///
 /// All kernels are branch-free in their inner loops: the old
 /// `if (aik == 0.0f) continue;` zero-skip was removed because it broke
@@ -50,7 +63,8 @@ bool KernelUsesAvx2();
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
-/// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bounded-epsilon tier.
+/// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bit-exact against the four-lane
+/// reduction (scalar build); bounded-epsilon against the sequential loop.
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 
@@ -85,6 +99,9 @@ void SoftmaxRowsInPlace(Matrix* m, const std::vector<uint8_t>* col_mask = nullpt
 /// Backward of row softmax: given P = softmax(S) row-wise and upstream dP,
 /// returns dS where dS = P ∘ (dP − rowsum(dP ∘ P)).
 Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs);
+/// Destination-passing SoftmaxRowsBackward (allocation-free once warm).
+void SoftmaxRowsBackwardInto(const Matrix& probs, const Matrix& grad_probs,
+                             Matrix* out);
 
 /// Numerically-stable softmax of a plain vector (utility for policies).
 std::vector<double> SoftmaxVector(const std::vector<double>& logits);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 
 #include "core/framework.h"
@@ -42,6 +43,30 @@ TEST(ArrivalModelPersistenceTest, RoundTripPreservesStatistics) {
   model.RecordArrival(3, t + 100);
   restored.RecordArrival(3, t + 100);
   EXPECT_DOUBLE_EQ(restored.any_gap().Prob(30), model.any_gap().Prob(30));
+}
+
+TEST(ArrivalModelPersistenceTest, FailedLoadLeavesModelUntouched) {
+  ArrivalModel source;
+  ArrivalModel target;
+  SimTime t = 0;
+  for (int i = 0; i < 50; ++i) {
+    t += 7;
+    source.RecordArrival(i % 9, t);
+    target.RecordArrival(100 + i % 4, t);
+  }
+  std::stringstream ss;
+  ASSERT_TRUE(source.Save(&ss).ok());
+  const std::string bytes = ss.str();
+  const std::vector<int> seen = target.seen_workers();
+  for (size_t cut : {bytes.size() - 1, bytes.size() - 20, bytes.size() / 2,
+                     size_t{9}}) {
+    std::stringstream truncated(bytes.substr(0, cut));
+    ASSERT_FALSE(target.Load(&truncated).ok()) << cut;
+    EXPECT_EQ(target.seen_workers(), seen) << cut;
+    EXPECT_EQ(target.num_arrivals(), 50) << cut;
+    EXPECT_EQ(target.LastArrivalOf(100), t - 7) << cut;
+    EXPECT_EQ(target.LastArrivalOf(0), -1) << cut;
+  }
 }
 
 TEST(ArrivalModelPersistenceTest, LoadRejectsGarbage) {
@@ -123,6 +148,70 @@ TEST_F(FrameworkCheckpointTest, SaveLoadRoundTripsTrainedState) {
   // Arrival statistics restored too.
   EXPECT_EQ(restored.arrival_model().num_arrivals(),
             trained.arrival_model().num_arrivals());
+  std::remove(path.c_str());
+}
+
+TEST_F(FrameworkCheckpointTest, TruncatedCheckpointLeavesStateUnchanged) {
+  // A checkpoint cut at any byte must fail to load and change nothing:
+  // neither net may be installed before the whole file has been read, and
+  // the arrival statistics must not be half-replaced.
+  Dataset ds = MakeDataset();
+  const std::string path = "/tmp/crowdrl_framework_ckpt_truncated.bin";
+  ReplayHarness harness(&ds, MakeConfig().harness);
+  Experiment exp(&ds, MakeConfig());
+  FrameworkConfig fc = exp.MakeFrameworkConfig(Objective::kBalanced);
+  TaskArrangementFramework trained(fc, &harness, harness.worker_feature_dim(),
+                                   harness.task_feature_dim());
+  harness.Run(&trained);
+  ASSERT_TRUE(trained.SaveState(path).ok());
+  const uintmax_t full_size = std::filesystem::file_size(path);
+
+  ReplayHarness probe_env(&ds, MakeConfig().harness);
+  TaskArrangementFramework fresh(fc, &probe_env,
+                                 probe_env.worker_feature_dim(),
+                                 probe_env.task_feature_dim());
+  Observation obs;
+  obs.time = ds.InitEndTime() + 100;
+  obs.worker = 0;
+  obs.worker_quality = 0.5;
+  obs.worker_features.assign(probe_env.worker_feature_dim(), 0.1f);
+  std::vector<float> feats(probe_env.task_feature_dim(), 0.3f);
+  for (int i = 0; i < 3; ++i) {
+    TaskSnapshot snap;
+    snap.id = i;
+    snap.deadline = obs.time + 10000;
+    snap.features = &feats;
+    snap.quality = 0.1 * i;
+    obs.tasks.push_back(snap);
+  }
+  const std::vector<double> scores = fresh.CombinedScores(obs);
+  const ArrivalModel& arrivals = fresh.arrival_model();
+  const int64_t num_arrivals = arrivals.num_arrivals();
+  const SimTime last_arrival = arrivals.last_arrival_time();
+  const double new_rate = arrivals.new_worker_rate();
+  const double return_prob = arrivals.SameWorkerReturnProb(100);
+  const double gap_prob = arrivals.any_gap().Prob(5);
+  const std::vector<int> seen = arrivals.seen_workers();
+
+  // Shrink the file one byte at a time, from full_size − 1 down to empty.
+  for (uintmax_t size = full_size; size-- > 0;) {
+    std::filesystem::resize_file(path, size);
+    ASSERT_FALSE(fresh.LoadState(path).ok()) << "truncated at " << size;
+    ASSERT_EQ(fresh.CombinedScores(obs), scores) << "truncated at " << size;
+    ASSERT_EQ(arrivals.num_arrivals(), num_arrivals) << size;
+    ASSERT_EQ(arrivals.last_arrival_time(), last_arrival) << size;
+    ASSERT_EQ(arrivals.new_worker_rate(), new_rate) << size;
+    ASSERT_EQ(arrivals.SameWorkerReturnProb(100), return_prob) << size;
+    ASSERT_EQ(arrivals.any_gap().Prob(5), gap_prob) << size;
+    ASSERT_EQ(arrivals.seen_workers(), seen) << size;
+  }
+
+  // The intact file still loads and does change the state.
+  ASSERT_TRUE(trained.SaveState(path).ok());
+  ASSERT_TRUE(fresh.LoadState(path).ok());
+  EXPECT_EQ(fresh.CombinedScores(obs), trained.CombinedScores(obs));
+  EXPECT_EQ(arrivals.num_arrivals(), trained.arrival_model().num_arrivals());
+  EXPECT_NE(arrivals.num_arrivals(), num_arrivals);
   std::remove(path.c_str());
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/thread_pool.h"
+
 namespace crowdrl {
 namespace {
 
@@ -231,6 +235,165 @@ TEST(DqnAgentTest, PipelinedReplaySmokesThroughLearnSteps) {
   EXPECT_EQ(learned, 25);
   EXPECT_EQ(agent.replay_transitions(), 16u);
   EXPECT_GT(agent.replay_bytes(), 0u);
+}
+
+// ---- the learner's action-row pass vs a dense per-sample reference ----
+
+/// Test-side reference of DqnAgent::LearnStep: the dense per-sample loop
+/// (ForwardInto + a one-hot Matrix dq + SetQNetwork::Backward) with the
+/// agent's replay sampling, chunk partition, chunk-gradient reduction
+/// order, Adam step and target sync.
+class DenseReferenceLearner {
+ public:
+  DenseReferenceLearner(const DqnAgentConfig& cfg, const DqnAgent& agent)
+      : cfg_(cfg),
+        rng_(cfg.seed),
+        online_(agent.online()),
+        target_(agent.target_net()),
+        optimizer_(online_.Params(), cfg.opt),
+        replay_(cfg.replay, cfg.batch_size, cfg.replay_pipeline) {}
+
+  const SetQNetwork& online() const { return online_; }
+  const SetQNetwork& target() const { return target_; }
+
+  double Target(const Transition& t) const {
+    return static_cast<double>(t.reward) +
+           cfg_.gamma *
+               FutureValueUnder({&online_, &target_}, t.future, cfg_.double_q);
+  }
+
+  void Store(Transition t) {
+    if (!cfg_.recompute_targets_on_replay) {
+      t.target = Target(t);
+      t.future.Clear();
+    }
+    replay_.Add(std::move(t));
+  }
+
+  bool LearnStep() {
+    if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
+    const size_t batch = cfg_.batch_size;
+    const size_t chunks = std::max<size_t>(
+        1, std::min({ThreadPool::Global().num_threads(), batch,
+                     static_cast<size_t>(16)}));
+    std::vector<SetQNetwork::Gradients> grads(chunks,
+                                              online_.MakeGradients());
+    std::vector<double> td(batch);
+    for (size_t ci = 0; ci < chunks; ++ci) {
+      for (size_t i = ci * batch / chunks; i < (ci + 1) * batch / chunks;
+           ++i) {
+        const Transition& tr = batch_.item(i);
+        const double y =
+            cfg_.recompute_targets_on_replay ? Target(tr) : tr.target;
+        SetQNetwork::Cache cache;
+        const Matrix& q = online_.ForwardInto(tr.state, tr.valid_n, &cache);
+        const double delta = q(tr.action_row, 0) - y;
+        td[i] = delta;
+        Matrix dq(q.rows(), 1);
+        dq(tr.action_row, 0) =
+            static_cast<float>(2.0 * batch_.weight(i) * delta);
+        online_.Backward(dq, cache, &grads[ci]);
+      }
+    }
+    for (size_t c = 1; c < chunks; ++c) grads[0].Add(grads[c]);
+    optimizer_.Step(grads[0].g, 1.0 / static_cast<double>(batch));
+    replay_.UpdatePriorities(batch_.slots(), td);
+    ++learn_steps_;
+    if (cfg_.target_sync_every > 0 &&
+        learn_steps_ % cfg_.target_sync_every == 0) {
+      target_.CopyFrom(online_);
+    }
+    return true;
+  }
+
+ private:
+  DqnAgentConfig cfg_;
+  Rng rng_;
+  SetQNetwork online_;
+  SetQNetwork target_;
+  Adam optimizer_;
+  ReplayPipeline replay_;
+  ReplayPipeline::Batch batch_;
+  int64_t learn_steps_ = 0;
+};
+
+/// A transition over a pool of 1–7 tasks, zero-padded to 8 rows every other
+/// time, acting on a random valid row, with a two-segment future.
+Transition RandomTransition(Rng* rng) {
+  Transition t;
+  const size_t pool = 1 + static_cast<size_t>(rng->UniformInt(7));
+  const size_t rows = rng->UniformInt(2) == 0 ? pool : 8;
+  t.state = Matrix(rows, 6);
+  for (size_t r = 0; r < pool; ++r) {
+    for (size_t c = 0; c < 6; ++c) {
+      t.state(r, c) = static_cast<float>(rng->Uniform(-1.0, 1.0));
+    }
+  }
+  t.valid_n = pool;
+  t.action_row = static_cast<int>(rng->UniformInt(pool));
+  t.reward = static_cast<float>(rng->Uniform());
+  FutureStateSpec::Branch branch;
+  branch.base = Matrix::Uniform(5, 6, rng);
+  branch.segments = {{5, 0.6f}, {2, 0.4f}};
+  t.future.branches.push_back(std::move(branch));
+  return t;
+}
+
+void ExpectSameParams(const SetQNetwork& a, const SetQNetwork& b,
+                      const char* which) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t p = 0; p < pa.size(); ++p) {
+    ASSERT_EQ(pa[p]->size(), pb[p]->size());
+    for (size_t i = 0; i < pa[p]->size(); ++i) {
+      // == on purpose: bit-exact up to the sign of an exact zero.
+      ASSERT_EQ(pa[p]->data()[i], pb[p]->data()[i])
+          << which << " param " << p << " element " << i;
+    }
+  }
+}
+
+void ExpectLearnerMatchesDenseReference(DqnAgentConfig cfg) {
+  cfg.replay.capacity = 96;
+  cfg.target_sync_every = 10;
+  DqnAgent agent(cfg);
+  DenseReferenceLearner reference(cfg, agent);
+  Rng rng(cfg.seed ^ 0x5EED);
+  int steps = 0;
+  for (int i = 0; i < 200 + static_cast<int>(cfg.batch_size); ++i) {
+    Transition t = RandomTransition(&rng);
+    reference.Store(t);
+    agent.Store(std::move(t));
+    const bool learned = agent.LearnStep();
+    ASSERT_EQ(reference.LearnStep(), learned);
+    steps += learned;
+  }
+  ASSERT_GE(steps, 200);
+  ExpectSameParams(agent.online(), reference.online(), "online");
+  ExpectSameParams(agent.target_net(), reference.target(), "target");
+}
+
+TEST(DqnAgentTest, ActionRowLearnerMatchesDenseReferenceAtOneChunk) {
+  DqnAgentConfig cfg = SmallConfig(41);
+  cfg.batch_size = 1;  // one sample, so one gradient chunk
+  ExpectLearnerMatchesDenseReference(cfg);
+}
+
+TEST(DqnAgentTest, ActionRowLearnerMatchesDenseReferenceAcrossChunks) {
+  // min(pool threads, batch, 16) chunks: 4 on a host with >= 4 threads.
+  DqnAgentConfig cfg = SmallConfig(42);
+  cfg.batch_size = 4;
+  ExpectLearnerMatchesDenseReference(cfg);
+}
+
+TEST(DqnAgentTest, ActionRowLearnerMatchesDenseReferenceWithReplayTargets) {
+  // Targets recomputed inside the learner body go through the bootstrap
+  // cache while the training workspace holds the sample's pass.
+  DqnAgentConfig cfg = SmallConfig(43);
+  cfg.batch_size = 4;
+  cfg.recompute_targets_on_replay = true;
+  ExpectLearnerMatchesDenseReference(cfg);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// The hot-path contract of the `*Into` layer (ISSUE 6 tentpole): once a
-// thread's workspace and destination buffers are warm, a steady-state
-// batched scoring pass — StateTransformer::BuildInto + SetQNetwork
-// forwards + aggregation, i.e. exactly what the serve micro-batcher runs
-// per request — performs ZERO heap allocations.
+// The hot-path contract of the `*Into` layer: once a thread's workspace
+// and destination buffers are warm, a steady-state batched scoring pass —
+// StateTransformer::BuildInto + SetQNetwork forwards + aggregation, i.e.
+// exactly what the serve micro-batcher runs per request — performs ZERO
+// heap allocations, and so do the learner's per-sample training pass and
+// its bootstrap-target pass.
 //
 // Verified with a counting global operator new. The counter is
 // thread-local so pool threads idling in the background cannot perturb it;
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/aggregator.h"
+#include "core/dqn_agent.h"
 #include "core/policy.h"
 #include "core/state.h"
 #include "nn/workspace.h"
@@ -160,6 +162,64 @@ TEST(AllocationFreeTest, TruncatedPoolScoringIsAllocationFreeToo) {
   for (int i = 0; i < 5; ++i) transformer.BuildInto(obs, &built);
   EXPECT_EQ(g_allocs, 0);
   EXPECT_EQ(built.valid_n, 8u);
+}
+
+TEST(AllocationFreeTest, WarmLearnerTrainingPassAllocatesNothing) {
+  // The learner's per-sample step: the action-row forward and its backward
+  // into the thread's LearnerWorkspace and a persistent gradient store.
+  Rng rng(11);
+  SetQNetworkConfig cfg;
+  cfg.input_dim = 12;
+  cfg.hidden_dim = 16;
+  cfg.num_heads = 4;
+  SetQNetwork net(cfg, &rng);
+  SetQNetwork::Gradients grads = net.MakeGradients();
+
+  Matrix big = Matrix::Uniform(12, 12, &rng);
+  Matrix small = Matrix::Uniform(5, 12, &rng);
+  LearnerWorkspace& ws = LearnerWorkspace::ThreadLocal();
+  ws.grad_q.Resize(1, 1);
+  const auto train_once = [&](const Matrix& x, size_t valid_n, size_t row) {
+    ws.grad_q(0, 0) = 0.25f * net.ForwardAction(x, valid_n, row, &ws.cache);
+    net.BackwardInto(ws.grad_q, ws.cache, &ws.scratch, &grads);
+  };
+  train_once(big, 10, 3);
+  train_once(small, 5, 4);
+
+  g_allocs = 0;
+  for (int i = 0; i < 5; ++i) {
+    train_once(small, 5, static_cast<size_t>(i));
+    train_once(big, 10, static_cast<size_t>(2 * i));
+  }
+  EXPECT_EQ(g_allocs, 0) << "a warm training pass must not touch the heap";
+}
+
+TEST(AllocationFreeTest, WarmBootstrapTargetAllocatesNothing) {
+  // FutureValueUnder slices each future pool into a per-thread buffer and
+  // scores it through a warm per-thread cache.
+  Rng rng(12);
+  SetQNetworkConfig cfg;
+  cfg.input_dim = 6;
+  cfg.hidden_dim = 16;
+  cfg.num_heads = 2;
+  SetQNetwork online(cfg, &rng);
+  SetQNetwork target(cfg, &rng);
+  FutureStateSpec future;
+  FutureStateSpec::Branch branch;
+  branch.base = Matrix::Uniform(7, 6, &rng);
+  branch.segments = {{7, 0.5f}, {3, 0.3f}, {1, 0.2f}};
+  future.branches.push_back(std::move(branch));
+  const double warm = FutureValueUnder({&online, &target}, future, true);
+  FutureValueUnder({&online, &target}, future, false);
+
+  g_allocs = 0;
+  double value = 0;
+  for (int i = 0; i < 5; ++i) {
+    value = FutureValueUnder({&online, &target}, future, true);
+    FutureValueUnder({&online, &target}, future, false);
+  }
+  EXPECT_EQ(g_allocs, 0) << "a warm bootstrap pass must not touch the heap";
+  EXPECT_EQ(value, warm);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "nn/grad_check.h"
 #include "nn/optimizer.h"
 
@@ -101,6 +103,93 @@ TEST(SetQNetworkTest, GradientsMatchNumericEndToEnd) {
   for (size_t p = 0; p < params.size(); ++p) {
     auto res = CheckGradient(params[p], grads.g[p], loss, 1e-3f, 24);
     EXPECT_LT(res.max_rel_err, 8e-2f) << "param " << p;
+  }
+}
+
+// ---- the learner's action-row pass vs the dense reference ----
+
+bool SameGradients(const SetQNetwork::Gradients& a,
+                   const SetQNetwork::Gradients& b, std::string* where) {
+  if (a.g.size() != b.g.size()) return false;
+  for (size_t p = 0; p < a.g.size(); ++p) {
+    if (a.g[p].rows() != b.g[p].rows() || a.g[p].cols() != b.g[p].cols()) {
+      *where = "shape of param " + std::to_string(p);
+      return false;
+    }
+    for (size_t i = 0; i < a.g[p].size(); ++i) {
+      // == on purpose: bit-exact up to the sign of an exact zero.
+      if (!(a.g[p].data()[i] == b.g[p].data()[i])) {
+        *where = "param " + std::to_string(p) + " element " +
+                 std::to_string(i);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SetQNetworkTest, ActionRowPassMatchesDenseBackwardBitForBit) {
+  // ForwardAction + BackwardInto must produce exactly Q(s, a) and the
+  // parameter gradients of the dense ForwardInto + Backward with a one-hot
+  // upstream gradient — for masked and unmasked attention, attention on and
+  // off, exact-size and zero-padded states, every pool size that straddles
+  // the kernels' tile edges, and every row as the action.
+  const size_t kPaddedRows = 64;  // a pad_to_max-style state: maxT rows
+  for (bool use_attention : {true, false}) {
+    for (bool mask : {true, false}) {
+      SetQNetworkConfig cfg;
+      cfg.input_dim = 7;
+      cfg.hidden_dim = 16;
+      cfg.num_heads = 4;
+      cfg.masked_attention = mask;
+      cfg.use_attention = use_attention;
+      Rng rng(31 + 2 * use_attention + mask);
+      const SetQNetwork net(cfg, &rng);
+      for (size_t pool : {1, 2, 5, 15, 16, 57}) {
+        for (bool padded : {false, true}) {
+          const size_t rows = padded ? kPaddedRows : pool;
+          Matrix x(rows, cfg.input_dim);  // padding rows stay zero
+          for (size_t r = 0; r < pool; ++r) {
+            for (size_t c = 0; c < cfg.input_dim; ++c) {
+              x(r, c) = static_cast<float>(rng.Uniform(-1.0, 1.0));
+            }
+          }
+          // Both passes accumulate onto the same nonzero gradients.
+          SetQNetwork::Gradients start = net.MakeGradients();
+          for (Matrix& m : start.g) {
+            for (size_t i = 0; i < m.size(); ++i) {
+              m.data()[i] = static_cast<float>(rng.Uniform(-0.1, 0.1));
+            }
+          }
+          SetQNetwork::Cache dense_cache, action_cache;
+          SetQNetwork::BackwardScratch scratch;
+          Matrix grad_action(1, 1);
+          for (size_t a = 0; a < rows; ++a) {
+            SCOPED_TRACE("attention=" + std::to_string(use_attention) +
+                         " mask=" + std::to_string(mask) + " pool=" +
+                         std::to_string(pool) + " rows=" +
+                         std::to_string(rows) + " action=" +
+                         std::to_string(a));
+            const float g = 0.37f * static_cast<float>(a + 1);
+            const Matrix& q = net.ForwardInto(x, pool, &dense_cache);
+            const float dense_q = q(a, 0);
+            Matrix dq(rows, 1);
+            dq(a, 0) = g;
+            SetQNetwork::Gradients dense = start;
+            net.Backward(dq, dense_cache, &dense);
+
+            const float action_q = net.ForwardAction(x, pool, a, &action_cache);
+            grad_action(0, 0) = g;
+            SetQNetwork::Gradients action = start;
+            net.BackwardInto(grad_action, action_cache, &scratch, &action);
+
+            ASSERT_EQ(action_q, dense_q);
+            std::string where;
+            ASSERT_TRUE(SameGradients(action, dense, &where)) << where;
+          }
+        }
+      }
+    }
   }
 }
 

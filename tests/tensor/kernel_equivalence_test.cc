@@ -2,11 +2,15 @@
 // randomized equivalence of every kernel against the retained scalar
 // reference implementations, at the tier the kernel promises —
 //
-//  * bit-exact:      Matmul, MatmulTransposeA, fused scale+mask+softmax
-//                    (scalar build only — the AVX2 build reassociates all
-//                    reductions, so it drops to bounded-epsilon)
-//  * bounded-epsilon: MatmulTransposeB (reassociated dot), every kernel
-//                    under CROWDRL_ENABLE_AVX2, and the accumulate form
+//  * bit-exact:      Matmul, MatmulTransposeA, MatmulTransposeAAccumulate
+//                    (against the in-order scalar loops), MatmulTransposeB
+//                    (against the four-lane blocked dot reduction, which
+//                    perfbench's recorded quality rows depend on) and the
+//                    fused scale+mask+softmax — scalar build only: the AVX2
+//                    build fuses multiply-adds, so it drops to
+//                    bounded-epsilon
+//  * bounded-epsilon: MatmulTransposeB against the sequential dot, and
+//                    every kernel under CROWDRL_ENABLE_AVX2
 //
 // plus the IEEE NaN/Inf-propagation regression the old zero-skip broke.
 #include <gtest/gtest.h>
@@ -14,6 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "tensor/ops.h"
 
@@ -65,6 +70,82 @@ TEST(KernelEquivalenceTest, MatmulMatchesReferenceAcrossShapes) {
   }
 }
 
+/// A copy of the blocked dot reduction MatmulTransposeB has always used on
+/// the scalar build: four independent lane sums over k in steps of 4, then
+/// (s0 + s1) + (s2 + s3), then the sequential tail.
+Matrix FourLaneMatmulTransposeB(const Matrix& a, const Matrix& b) {
+  const size_t k = a.cols();
+  Matrix c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      const float* x = a.row_data(i);
+      const float* y = b.row_data(j);
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      size_t t = 0;
+      for (; t + 4 <= k; t += 4) {
+        s0 += x[t] * y[t];
+        s1 += x[t + 1] * y[t + 1];
+        s2 += x[t + 2] * y[t + 2];
+        s3 += x[t + 3] * y[t + 3];
+      }
+      float out = (s0 + s1) + (s2 + s3);
+      for (; t < k; ++t) out += x[t] * y[t];
+      c(i, j) = out;
+    }
+  }
+  return c;
+}
+
+/// C₀ + Aᵀ·B accumulated element by element in k order, onto C₀.
+Matrix InOrderTransposeAAccumulate(const Matrix& a, const Matrix& b,
+                                   Matrix c) {
+  for (size_t kk = 0; kk < a.rows(); ++kk) {
+    for (size_t i = 0; i < a.cols(); ++i) {
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += a(kk, i) * b(kk, j);
+    }
+  }
+  return c;
+}
+
+// Every size on both sides of the register-tile edges: 4-row blocks,
+// 8-column tiles, the 32-column tiles of a lone row, and the blocked dot's
+// four-lane (eight under AVX2) steps.
+constexpr size_t kTileM[] = {1, 3, 4, 5, 8, 15, 16, 17};
+constexpr size_t kTileN[] = {1, 7, 8, 9, 16, 17, 40, 64, 65};
+constexpr size_t kTileK[] = {1, 3, 4, 5, 16, 74};
+
+TEST(KernelEquivalenceTest, TiledKernelsMatchAcrossTileEdges) {
+  Rng rng(109);
+  for (size_t m : kTileM) {
+    for (size_t n : kTileN) {
+      for (size_t k : kTileK) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+        Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+        ExpectTier(Matmul(a, b), reference::Matmul(a, b), k,
+                   /*bit_exact_tier=*/true);
+
+        Matrix at = Matrix::Uniform(k, m, &rng, -2.0f, 2.0f);
+        ExpectTier(MatmulTransposeA(at, b), reference::MatmulTransposeA(at, b),
+                   k, /*bit_exact_tier=*/true);
+        Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+        Matrix acc = c0;
+        MatmulTransposeAAccumulate(at, b, &acc);
+        ExpectTier(acc, InOrderTransposeAAccumulate(at, b, c0), k,
+                   /*bit_exact_tier=*/true);
+
+        Matrix bt = Matrix::Uniform(n, k, &rng, -2.0f, 2.0f);
+        const Matrix tb = MatmulTransposeB(a, bt);
+        ExpectTier(tb, FourLaneMatmulTransposeB(a, bt), k,
+                   /*bit_exact_tier=*/true);
+        ExpectTier(tb, reference::MatmulTransposeB(a, bt), k,
+                   /*bit_exact_tier=*/false);
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalenceTest, MatmulTransposeBMatchesReference) {
   Rng rng(102);
   for (size_t m : {size_t{1}, size_t{4}, size_t{9}, size_t{31}}) {
@@ -72,9 +153,12 @@ TEST(KernelEquivalenceTest, MatmulTransposeBMatchesReference) {
       for (size_t n : {size_t{1}, size_t{6}, size_t{17}}) {
         Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
         Matrix b = Matrix::Uniform(n, k, &rng, -2.0f, 2.0f);
-        // Always bounded-epsilon: the dot reduction is reassociated.
+        // Bounded-epsilon against the sequential dot (the reduction is
+        // reassociated); bit-exact against the four-lane reduction.
         ExpectTier(MatmulTransposeB(a, b), reference::MatmulTransposeB(a, b),
                    k, /*bit_exact_tier=*/false);
+        ExpectTier(MatmulTransposeB(a, b), FourLaneMatmulTransposeB(a, b), k,
+                   /*bit_exact_tier=*/true);
       }
     }
   }
@@ -103,8 +187,11 @@ TEST(KernelEquivalenceTest, MatmulTransposeAAccumulateAddsOntoDestination) {
   MatmulTransposeAAccumulate(a, b, &c);
   Matrix expected = c0;
   expected += reference::MatmulTransposeA(a, b);
-  // Interleaved accumulation reassociates relative to add-after-multiply.
+  // Interleaved accumulation reassociates relative to add-after-multiply,
+  // but matches accumulating onto C₀ in k order exactly.
   EXPECT_TRUE(Matrix::AllClose(c, expected, EpsFor(a.rows())));
+  ExpectTier(c, InOrderTransposeAAccumulate(a, b, c0), a.rows(),
+             /*bit_exact_tier=*/true);
 }
 
 TEST(KernelEquivalenceTest, IntoFormsReuseDestinationAcrossShapes) {
