@@ -55,9 +55,8 @@ void BM_MatmulTransposeB(benchmark::State& state) {
   Rng rng(12);
   Matrix a = Matrix::Uniform(n, n, &rng);
   Matrix b = Matrix::Uniform(n, n, &rng);
-  Matrix c;
   for (auto _ : state) {
-    MatmulTransposeBInto(a, b, &c);
+    Matrix c = MatmulTransposeB(a, b);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
@@ -83,9 +82,8 @@ void BM_MatmulTransposeA(benchmark::State& state) {
   Rng rng(13);
   Matrix a = Matrix::Uniform(n, n, &rng);
   Matrix b = Matrix::Uniform(n, n, &rng);
-  Matrix c;
   for (auto _ : state) {
-    MatmulTransposeAInto(a, b, &c);
+    Matrix c = MatmulTransposeA(a, b);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);

@@ -1,6 +1,8 @@
 #ifndef CROWDRL_COMMON_BOUNDED_QUEUE_H_
 #define CROWDRL_COMMON_BOUNDED_QUEUE_H_
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -154,7 +156,16 @@ class BoundedQueue {
   /// `max_items`, waiting at most `coalesce_us` microseconds for
   /// stragglers to join the batch. Appends to `*out`; returns the number
   /// of items appended (0 iff closed and drained).
-  size_t PopBatch(std::vector<T>* out, size_t max_items, int64_t coalesce_us) {
+  ///
+  /// `producers`, when given, counts the producers that can each have at
+  /// most one item in the queue at a time (they block until their item is
+  /// answered). Once the batch holds that many items no straggler can
+  /// arrive, so the window closes early. The count is re-read on every
+  /// wake, so a producer that appears mid-window is still waited for, and
+  /// it is clamped to at least 1 so an open queue never yields an empty
+  /// batch.
+  size_t PopBatch(std::vector<T>* out, size_t max_items, int64_t coalesce_us,
+                  const std::atomic<size_t>* producers = nullptr) {
     const size_t before = out->size();
     MutexLock lk(mu_);
     while (items_.empty() && !closed_) {
@@ -168,7 +179,10 @@ class BoundedQueue {
         out->push_back(std::move(items_.front()));
         items_.pop_front();
       }
-      if (out->size() - before >= max_items || closed_ || coalesce_us <= 0) {
+      const size_t taken = out->size() - before;
+      if (taken >= max_items || closed_ || coalesce_us <= 0 ||
+          (producers != nullptr &&
+           taken >= std::max<size_t>(1, producers->load()))) {
         break;
       }
       bool window_elapsed = false;

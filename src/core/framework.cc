@@ -366,7 +366,8 @@ Status TaskArrangementFramework::SaveState(const std::string& path) const {
   return Status::OK();
 }
 
-Status TaskArrangementFramework::LoadState(const std::string& path) {
+Status TaskArrangementFramework::ReadState(const std::string& path,
+                                          StagedState* out) const {
   std::ifstream f(path, std::ios::binary);
   if (!f.is_open()) return Status::IoError("cannot open " + path);
   uint32_t magic = 0;
@@ -382,29 +383,40 @@ Status TaskArrangementFramework::LoadState(const std::string& path) {
     return Status::InvalidArgument(
         "checkpoint objective does not match this framework's");
   }
-  // Parse everything into staging first and commit only once the whole
-  // file has been read: a truncated or mismatched checkpoint must leave
-  // the framework exactly as it was.
   auto read_net = [&](const DqnAgent& agent, SetQNetwork* net) -> Status {
     CROWDRL_RETURN_NOT_OK(net->Load(&f));
-    if (net->config().input_dim != agent.online().config().input_dim ||
-        net->config().hidden_dim != agent.online().config().hidden_dim) {
-      return Status::InvalidArgument("checkpoint network shape mismatch");
+    const SetQNetworkConfig& got = net->config();
+    const SetQNetworkConfig& want = agent.online().config();
+    if (got.input_dim != want.input_dim ||
+        got.hidden_dim != want.hidden_dim ||
+        got.num_heads != want.num_heads ||
+        got.masked_attention != want.masked_attention ||
+        got.use_attention != want.use_attention) {
+      return Status::InvalidArgument("checkpoint network config mismatch");
     }
     return Status::OK();
   };
-  SetQNetwork worker_net, requester_net;
   if (worker_agent_) {
-    CROWDRL_RETURN_NOT_OK(read_net(*worker_agent_, &worker_net));
+    CROWDRL_RETURN_NOT_OK(read_net(*worker_agent_, &out->worker_net));
   }
   if (requester_agent_) {
-    CROWDRL_RETURN_NOT_OK(read_net(*requester_agent_, &requester_net));
+    CROWDRL_RETURN_NOT_OK(read_net(*requester_agent_, &out->requester_net));
   }
-  // The arrival statistics come last and ArrivalModel::Load is itself
-  // all-or-nothing, so once it succeeds the whole file has been read.
-  CROWDRL_RETURN_NOT_OK(arrivals_.Load(&f));
-  if (worker_agent_) worker_agent_->RestoreOnline(worker_net);
-  if (requester_agent_) requester_agent_->RestoreOnline(requester_net);
+  // The arrival statistics are the file's last part.
+  out->arrivals = ArrivalModel(config_.arrival);
+  return out->arrivals.Load(&f);
+}
+
+void TaskArrangementFramework::CommitState(StagedState state) {
+  if (worker_agent_) worker_agent_->RestoreOnline(state.worker_net);
+  if (requester_agent_) requester_agent_->RestoreOnline(state.requester_net);
+  arrivals_ = std::move(state.arrivals);
+}
+
+Status TaskArrangementFramework::LoadState(const std::string& path) {
+  StagedState state;
+  CROWDRL_RETURN_NOT_OK(ReadState(path, &state));
+  CommitState(std::move(state));
   return Status::OK();
 }
 

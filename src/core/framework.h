@@ -204,8 +204,21 @@ class TaskArrangementFramework : public Policy {
   /// deliberately not persisted — they are a transient training aid, and
   /// the paper's buffer holds only the most recent 1,000 transitions.
   Status SaveState(const std::string& path) const;
-  /// Restores a SaveState checkpoint. The configs must match (network
-  /// shapes are validated on load).
+  /// A checkpoint read and validated against this framework but not yet
+  /// installed (ReadState, then CommitState).
+  struct StagedState {
+    SetQNetwork worker_net;
+    SetQNetwork requester_net;
+    ArrivalModel arrivals;
+  };
+  /// Parses a SaveState checkpoint into `*out` and checks it fits this
+  /// framework: the objective, and each net's dims, heads, attention
+  /// on/off and masking. Touches no live state, so a failed read changes
+  /// nothing.
+  Status ReadState(const std::string& path, StagedState* out) const;
+  /// Installs a ReadState result. Cannot fail.
+  void CommitState(StagedState state);
+  /// ReadState then CommitState: all-or-nothing.
   Status LoadState(const std::string& path);
 
  private:

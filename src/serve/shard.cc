@@ -14,7 +14,7 @@ ServiceShard::ServiceShard(TaskArrangementFramework* framework,
       config_(config),
       request_queue_(config.request_queue_capacity),
       learner_queue_(config.learner_queue_capacity),
-      rank_latency_(config.latency_max_samples) {
+      rank_latency_(kRankLatencySamples) {
   CROWDRL_CHECK(framework != nullptr);
 }
 
@@ -143,7 +143,8 @@ void ServiceShard::BatcherLoop() {
   for (;;) {
     batch.clear();
     if (request_queue_.PopBatch(&batch, config_.max_batch,
-                                config_.batch_window_us) == 0) {
+                                config_.batch_window_us,
+                                &live_sessions_) == 0) {
       break;  // closed and drained
     }
     // One snapshot per micro-batch: every request in the batch is scored
@@ -216,9 +217,13 @@ ServiceShard::Session::Session(ServiceShard* shard)
           [](const TransitionBlocks& blocks) { return blocks.ApproxBytes(); },
           shard->config_.inline_learning ? 0
                                          : shard->config_.flush_block_bytes) {
+  shard_->live_sessions_.fetch_add(1);
 }
 
-ServiceShard::Session::~Session() { Flush(); }
+ServiceShard::Session::~Session() {
+  Flush();
+  shard_->live_sessions_.fetch_sub(1);
+}
 
 std::unique_ptr<ServiceShard::Session> ServiceShard::NewSession() {
   return std::unique_ptr<Session>(new Session(this));
@@ -312,16 +317,25 @@ Status ServiceShard::SaveState(const std::string& path) {
 }
 
 Status ServiceShard::LoadState(const std::string& path) {
-  return RunOnLearner([this, path] {
+  // ReadState touches only the file and the nets' fixed configs, so it
+  // needs neither the learner context nor the arrivals lock.
+  TaskArrangementFramework::StagedState state;
+  CROWDRL_RETURN_NOT_OK(framework_->ReadState(path, &state));
+  CommitState(std::move(state));
+  return Status::OK();
+}
+
+void ServiceShard::CommitState(TaskArrangementFramework::StagedState state) {
+  const Status st = RunOnLearner([this, &state] {
     learner_mu_.AssertHeld();  // RunOnLearner contract (see PublishNow)
-    Status st;
     {
       WriterMutexLock lk(arrivals_mu_);
-      st = framework_->LoadState(path);
+      framework_->CommitState(std::move(state));
     }
-    if (st.ok()) PublishLocked();  // actors see the restored parameters
-    return st;
+    PublishLocked();  // actors see the restored parameters
+    return Status::OK();
   });
+  CROWDRL_CHECK(st.ok());
 }
 
 ServiceStats ServiceShard::stats() const {

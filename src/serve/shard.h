@@ -36,7 +36,10 @@ enum class RankFallback {
 struct ServiceConfig {
   /// Micro-batcher: up to `max_batch` concurrent Rank requests are
   /// coalesced (waiting at most `batch_window_us` for stragglers) and
-  /// scored against a single snapshot in one batched inference pass.
+  /// scored against a single snapshot in one batched inference pass. A
+  /// batch stops waiting as soon as it holds one request from every live
+  /// Session: each Session has at most one request in flight, so no
+  /// straggler can come.
   size_t max_batch = 16;
   int64_t batch_window_us = 200;
   /// Bound on queued rank requests (backpressure on actors).
@@ -60,8 +63,6 @@ struct ServiceConfig {
   /// With one actor this reproduces the serial framework bit-for-bit —
   /// the equivalence tests rely on it.
   bool inline_learning = false;
-  /// Reservoir bound of the rank-latency percentile accumulator.
-  size_t latency_max_samples = size_t{1} << 20;
 
   // ---- admission control / load shedding ----
   /// Per-request enqueue budget in microseconds: a Rank waits at most this
@@ -201,7 +202,9 @@ class ServiceShard {
   };
 
   /// \brief One actor's handle onto the shard. Not thread-safe: one
-  /// Session per actor thread (its LocalBuffer is single-producer).
+  /// Session per actor thread (its LocalBuffer is single-producer, and the
+  /// micro-batcher relies on each Session having at most one Rank in
+  /// flight).
   class Session {
    public:
     ~Session();
@@ -254,7 +257,11 @@ class ServiceShard {
   /// consistent (not mid-update) parameter state.
   Status SaveState(const std::string& path);
   /// Restores a checkpoint in the learner context and republishes.
+  /// All-or-nothing: a file that fails to read changes nothing.
   Status LoadState(const std::string& path);
+  /// Installs a checkpoint already read by the framework's ReadState, in
+  /// the learner context, and republishes.
+  void CommitState(TaskArrangementFramework::StagedState state);
 
   /// Publishes a fresh snapshot immediately (learner context).
   void PublishNow();
@@ -268,6 +275,10 @@ class ServiceShard {
   /// Copy of the rank-latency accumulator, for cross-shard merging into
   /// deployment-wide percentiles (ShardedArrangementService::stats).
   PercentileAccumulator latency_accumulator() const;
+
+  /// Reservoir bound of the rank-latency accumulator (128 KiB of
+  /// samples; beyond it the accumulator decimates deterministically).
+  static constexpr size_t kRankLatencySamples = size_t{1} << 14;
 
  private:
   struct RankRequest {
@@ -304,6 +315,9 @@ class ServiceShard {
   /// lock-free, which the analysis would flag as a false positive.
   SnapshotBuilder builder_;
   BoundedQueue<RankRequest> request_queue_;
+  /// Live Sessions: the most rank requests that can be queued at once,
+  /// which bounds how long the batcher waits for stragglers.
+  std::atomic<size_t> live_sessions_{0};
   BoundedQueue<LearnerItem> learner_queue_;
 
   /// Guards the one-shot Start/Stop transition and the thread handles.

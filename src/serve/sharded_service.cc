@@ -67,9 +67,15 @@ Status ShardedArrangementService::SaveState(const std::string& path) {
 }
 
 Status ShardedArrangementService::LoadState(const std::string& path) {
+  // All-or-nothing across shards: every shard's file is read and validated
+  // before any shard installs its part.
+  std::vector<TaskArrangementFramework::StagedState> staged(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
-    CROWDRL_RETURN_NOT_OK(
-        shards_[k]->LoadState(path + ".shard" + std::to_string(k)));
+    CROWDRL_RETURN_NOT_OK(shards_[k]->framework()->ReadState(
+        path + ".shard" + std::to_string(k), &staged[k]));
+  }
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    shards_[k]->CommitState(std::move(staged[k]));
   }
   return Status::OK();
 }
@@ -81,7 +87,7 @@ void ShardedArrangementService::PublishNow() {
 ShardedServiceStats ShardedArrangementService::stats() const {
   ShardedServiceStats out;
   out.per_shard.reserve(shards_.size());
-  PercentileAccumulator merged;
+  PercentileAccumulator merged(ServiceShard::kRankLatencySamples);
   for (const auto& shard : shards_) {
     ServiceStats s = shard->stats();
     out.aggregate.requests += s.requests;

@@ -88,6 +88,74 @@ TEST(BoundedQueueTest, PopBatchWaitsWithinWindowForStragglers) {
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
+// ---- producer bound: each producer has at most one item queued ----
+
+TEST(BoundedQueueTest, PopBatchClosesOnceEveryProducerHasAnItem) {
+  BoundedQueue<int> q(16);
+  std::atomic<size_t> producers{2};
+  ASSERT_TRUE(q.Push(1));
+  ASSERT_TRUE(q.Push(2));
+  std::vector<int> out;
+  Stopwatch sw;
+  // No third item can come, so the 500 ms window must not be waited out.
+  EXPECT_EQ(q.PopBatch(&out, 8, /*coalesce_us=*/500000, &producers), 2u);
+  EXPECT_LT(sw.ElapsedSeconds(), 0.25);
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+}
+
+TEST(BoundedQueueTest, PopBatchBelowTheProducerBoundWaitsForStraggler) {
+  BoundedQueue<int> q(16);
+  std::atomic<size_t> producers{2};
+  ASSERT_TRUE(q.Push(1));
+  std::thread straggler([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(q.Push(2));
+  });
+  std::vector<int> out;
+  Stopwatch sw;
+  const size_t n = q.PopBatch(&out, 8, /*coalesce_us=*/500000, &producers);
+  straggler.join();
+  EXPECT_EQ(n, 2u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2}));
+  // ...and closes as soon as the straggler made the batch full.
+  EXPECT_LT(sw.ElapsedSeconds(), 0.25);
+}
+
+TEST(BoundedQueueTest, PopBatchRereadsARisingProducerBound) {
+  BoundedQueue<int> q(16);
+  std::atomic<size_t> producers{2};
+  ASSERT_TRUE(q.Push(1));
+  std::thread late([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    producers.fetch_add(1);  // a third producer joins mid-window
+    ASSERT_TRUE(q.Push(2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(q.Push(3));
+  });
+  std::vector<int> out;
+  const size_t n = q.PopBatch(&out, 8, /*coalesce_us=*/500000, &producers);
+  late.join();
+  // A bound read once at entry (2) would have closed after item 2.
+  EXPECT_EQ(n, 3u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(BoundedQueueTest, PopBatchZeroProducerBoundNeverYieldsEmptyBatch) {
+  BoundedQueue<int> q(16);
+  std::atomic<size_t> producers{0};
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(q.Push(7));
+  });
+  std::vector<int> out;
+  Stopwatch sw;
+  // The bound clamps to 1: block for the first item, then return it.
+  EXPECT_EQ(q.PopBatch(&out, 8, /*coalesce_us=*/500000, &producers), 1u);
+  producer.join();
+  EXPECT_EQ(out, (std::vector<int>{7}));
+  EXPECT_LT(sw.ElapsedSeconds(), 0.25);
+}
+
 TEST(BoundedQueueTest, PopBatchReturnsZeroWhenClosedAndDrained) {
   BoundedQueue<int> q(4);
   q.Close();

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 
 #include "core/framework.h"
@@ -231,6 +232,57 @@ TEST_F(FrameworkCheckpointTest, LoadRejectsObjectiveMismatch) {
   TaskArrangementFramework b(balanced, &env, env.worker_feature_dim(),
                              env.task_feature_dim());
   EXPECT_FALSE(b.LoadState(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST_F(FrameworkCheckpointTest, LoadRejectsAttentionConfigMismatch) {
+  // Heads, masking and attention on/off leave the weight shapes (nearly)
+  // alone, so only the config check tells such a checkpoint apart.
+  Dataset ds = MakeDataset();
+  const std::string path = "/tmp/crowdrl_framework_ckpt_heads.bin";
+  ReplayHarness env(&ds, MakeConfig().harness);
+  Experiment exp(&ds, MakeConfig());
+  FrameworkConfig saved_cfg = exp.MakeFrameworkConfig(Objective::kBalanced);
+  // Different weights, so a wrongly accepted load would show.
+  saved_cfg.worker_dqn.seed += 1;
+  saved_cfg.requester_dqn.seed += 1;
+  TaskArrangementFramework saved(saved_cfg, &env, env.worker_feature_dim(),
+                                 env.task_feature_dim());
+  ASSERT_EQ(saved_cfg.worker_dqn.net.num_heads, 2u);
+  ASSERT_TRUE(saved.SaveState(path).ok());
+
+  Observation obs;
+  obs.time = ds.InitEndTime() + 100;
+  obs.worker = 0;
+  obs.worker_quality = 0.5;
+  obs.worker_features.assign(env.worker_feature_dim(), 0.1f);
+  std::vector<float> feats(env.task_feature_dim(), 0.3f);
+  for (int i = 0; i < 3; ++i) {
+    TaskSnapshot snap;
+    snap.id = i;
+    snap.deadline = obs.time + 10000;
+    snap.features = &feats;
+    snap.quality = 0.1 * i;
+    obs.tasks.push_back(snap);
+  }
+
+  const std::vector<std::function<void(SetQNetworkConfig*)>> mismatches = {
+      [](SetQNetworkConfig* net) { net->num_heads = 4; },
+      [](SetQNetworkConfig* net) {
+        net->masked_attention = !net->masked_attention;
+      },
+      [](SetQNetworkConfig* net) { net->use_attention = false; },
+  };
+  for (size_t m = 0; m < mismatches.size(); ++m) {
+    FrameworkConfig cfg = exp.MakeFrameworkConfig(Objective::kBalanced);
+    mismatches[m](&cfg.worker_dqn.net);
+    mismatches[m](&cfg.requester_dqn.net);
+    TaskArrangementFramework fw(cfg, &env, env.worker_feature_dim(),
+                                env.task_feature_dim());
+    const std::vector<double> scores = fw.CombinedScores(obs);
+    EXPECT_FALSE(fw.LoadState(path).ok()) << "mismatch " << m;
+    EXPECT_EQ(fw.CombinedScores(obs), scores) << "mismatch " << m;
+  }
   std::remove(path.c_str());
 }
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stopwatch.h"
 #include "serve/workload.h"
 
 namespace crowdrl {
@@ -212,6 +213,55 @@ TEST(ArrangementServiceTest, EmptyPoolShortCircuits) {
   EXPECT_TRUE(session->Rank(obs, &ticket).empty());
   EXPECT_EQ(service.stats().requests, 0);
   service.Stop();
+}
+
+// ---- micro-batch close rule ----
+
+TEST(ArrangementServiceTest, LoneSessionDoesNotWaitOutTheBatchWindow) {
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.batch_window_us = 1000000;  // 1 s: waiting it out would take 20 s
+  ArrangementService service(&framework, cfg);
+  service.Start();
+  constexpr int kRanks = 20;
+  Rng rng(4);
+  auto session = service.NewSession();
+  Stopwatch sw;
+  for (int i = 0; i < kRanks; ++i) {
+    const Observation obs = workload.MakeObservation(i, &rng);
+    ArrangementService::Ticket ticket;
+    ASSERT_TRUE(IsPermutation(session->Rank(obs, &ticket), obs.tasks.size()));
+  }
+  // The only live session is blocked in Rank, so no request can join a
+  // batch: each batch closes at once instead of after the window.
+  EXPECT_LT(sw.ElapsedSeconds(), 5.0);
+  session.reset();
+  service.Stop();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, kRanks);
+  EXPECT_EQ(stats.batches, kRanks);
+}
+
+TEST(ArrangementServiceTest, ConcurrentSessionsStillCoalesce) {
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.max_batch = 8;
+  cfg.batch_window_us = 100000;  // long: the batch waits for every session
+  ArrangementService service(&framework, cfg);
+  service.Start();
+  constexpr int kActors = 4;
+  constexpr int kEvents = 20;
+  const ServiceStats stats =
+      DriveConcurrently(workload, &service, kActors, kEvents);
+  EXPECT_EQ(stats.requests, kActors * kEvents);
+  EXPECT_GT(stats.mean_batch_size, 1.0);
+  EXPECT_LE(stats.mean_batch_size, static_cast<double>(kActors));
 }
 
 TEST(ArrangementServiceTest, BackpressureBoundsTheLearnerQueue) {

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -423,6 +425,59 @@ TEST(ShardedServiceTest, DeltaPublicationSharesUnchangedNets) {
   EXPECT_LT(delta_on.stats.snapshot_nets_copied,
             delta_off.stats.snapshot_nets_copied);
   EXPECT_EQ(delta_off.stats.snapshot_nets_shared, 0);
+}
+
+// ---- (5) checkpoints: a shard set restores completely or not at all ----
+
+TEST(ShardedServiceTest, LoadStateIsAllOrNothingAcrossShards) {
+  ServeWorkloadConfig workload_cfg;
+  workload_cfg.num_workers = 16;
+  workload_cfg.num_tasks = 24;
+  workload_cfg.pool_size = 6;
+  workload_cfg.warm_completions = 64;
+  workload_cfg.seed = 11;
+  const ServeWorkload workload(workload_cfg);
+  FrameworkConfig source_cfg = SmallFrameworkConfig();
+  // The checkpoint's weights differ from the target's.
+  source_cfg.worker_dqn.seed += 1;
+  source_cfg.requester_dqn.seed += 1;
+  ShardSet source = BuildShardFrameworks(
+      source_cfg, &workload, workload.worker_feature_dim(),
+      workload.task_feature_dim(), /*num_shards=*/2);
+  ShardSet target = BuildShardFrameworks(
+      SmallFrameworkConfig(), &workload, workload.worker_feature_dim(),
+      workload.task_feature_dim(), /*num_shards=*/2);
+  ShardedArrangementService saver(source.Pointers(), InlineServiceConfig());
+  ShardedArrangementService loader(target.Pointers(), InlineServiceConfig());
+  saver.Start();
+  loader.Start();
+
+  const std::string path = ::testing::TempDir() + "crowdrl_sharded_ckpt.bin";
+  ASSERT_TRUE(saver.SaveState(path).ok());
+  std::remove((path + ".shard1").c_str());
+
+  Rng rng(3);
+  const Observation obs = workload.MakeObservation(0, &rng);
+  const std::vector<double> before = target.frameworks[0]->CombinedScores(obs);
+  ASSERT_NE(before, source.frameworks[0]->CombinedScores(obs));
+  // Shard 1's file is missing: the load fails and shard 0, whose file is
+  // intact, must not have been restored either.
+  EXPECT_FALSE(loader.LoadState(path).ok());
+  EXPECT_EQ(target.frameworks[0]->CombinedScores(obs), before);
+
+  // The complete set restores every shard.
+  ASSERT_TRUE(saver.SaveState(path).ok());
+  ASSERT_TRUE(loader.LoadState(path).ok());
+  for (size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(target.frameworks[k]->CombinedScores(obs),
+              source.frameworks[k]->CombinedScores(obs))
+        << "shard " << k;
+  }
+  saver.Stop();
+  loader.Stop();
+  for (size_t k = 0; k < 2; ++k) {
+    std::remove((path + ".shard" + std::to_string(k)).c_str());
+  }
 }
 
 }  // namespace
