@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+#define CROWDRL_HAVE_SHUFFLEVECTOR 1
+#endif
+#endif
 
 #ifdef CROWDRL_HAVE_AVX2
 #include <immintrin.h>
+#elif (defined(__x86_64__) || defined(__i386__)) && \
+    defined(CROWDRL_HAVE_SHUFFLEVECTOR)
+// The portable x86 build carries a second copy of the matmul kernels,
+// compiled for AVX (8-float registers, no FMA) and chosen at run time.
+#define CROWDRL_DISPATCH_AVX 1
 #endif
 
 namespace crowdrl {
@@ -22,23 +32,62 @@ namespace {
 
 inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
 
-// One SIMD register of floats. Every kernel below is written against these
-// few helpers, so the portable and the AVX2 build share one body per
-// kernel. Per lane, MulAdd is the scalar loop's `acc + a·b`: two roundings
+// The matmul kernels are written once, against the few register helpers
+// below, and compiled per instruction set: every helper and template they
+// use is always inlined into an entry point that carries the target. The
+// helpers take registers by reference, never by value, so no function
+// signature carries a 32-byte vector outside an AVX-enabled function.
+#define CROWDRL_KERNEL_INLINE inline __attribute__((always_inline))
+
+// Views of four and eight floats at any float address, through which the
+// kernels load and store registers. (A memcpy into a register array can
+// be merged into one block copy through the stack, which a wider load then
+// reads back with a store-forwarding stall.)
+template <size_t kBytes>
+struct Unaligned;
+template <>
+struct Unaligned<16> {
+  typedef float type __attribute__((vector_size(16), aligned(4), may_alias));
+};
+template <>
+struct Unaligned<32> {
+  typedef float type __attribute__((vector_size(32), aligned(4), may_alias));
+};
+template <typename V>
+constexpr size_t kLanesOf = sizeof(V) / sizeof(float);
+template <typename V>
+CROWDRL_KERNEL_INLINE void LoadLanes(const float* p, V* v) {
+  *v = *reinterpret_cast<const typename Unaligned<sizeof(V)>::type*>(p);
+}
+template <typename V>
+CROWDRL_KERNEL_INLINE void StoreLanes(float* p, const V& v) {
+  *reinterpret_cast<typename Unaligned<sizeof(V)>::type*>(p) = v;
+}
+
+// Per lane, MulAdd is the scalar loop's `acc + a·b`: two roundings
 // (product, then sum) in the portable build, one fused multiply-add under
 // AVX2.
 #ifdef CROWDRL_HAVE_AVX2
-using Lanes = __m256;
-constexpr size_t kLanes = 8;
-inline Lanes ZeroLanes() { return _mm256_setzero_ps(); }
-inline Lanes Splat(float a) { return _mm256_set1_ps(a); }
-inline Lanes LoadLanes(const float* p) { return _mm256_loadu_ps(p); }
-inline void StoreLanes(float* p, Lanes v) { _mm256_storeu_ps(p, v); }
-inline Lanes MulAdd(Lanes acc, Lanes a, Lanes b) {
-  return _mm256_fmadd_ps(a, b, acc);
+using TileLanes = __m256;
+using DotLanes = __m256;
+constexpr size_t kDotLanes = 8;
+CROWDRL_KERNEL_INLINE void MulAdd(__m256* acc, const __m256& a,
+                                  const __m256& b) {
+  *acc = _mm256_fmadd_ps(a, b, *acc);
+}
+CROWDRL_KERNEL_INLINE void MulAdd(__m256* acc, float a, const __m256& b) {
+  MulAdd(acc, _mm256_set1_ps(a), b);
+}
+/// Loads a[0][i .. i+8): the lanes of one dot product.
+CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
+                                        __m256* v) {
+  LoadLanes(a[0] + i, v);
+}
+CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, __m256* v) {
+  LoadLanes(b, v);
 }
 /// Horizontal sum of the eight partial sums of a blocked dot product.
-inline float SumLanes(Lanes v) {
+CROWDRL_KERNEL_INLINE float SumDotLanes(const __m256& v, size_t /*dot*/) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
   __m128 s = _mm_add_ps(lo, hi);
@@ -46,25 +95,97 @@ inline float SumLanes(Lanes v) {
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
 }
-#else
-// A GCC/Clang vector of four floats: element-wise IEEE arithmetic that
-// the compiler lowers to SSE (or whatever the target has, down to plain
-// scalar code), with the accumulators held in registers — plain float
-// arrays of the same shape get spilled to the stack on every k step.
-typedef float Lanes __attribute__((vector_size(16)));
-constexpr size_t kLanes = 4;
-inline Lanes ZeroLanes() { return Lanes{0.0f, 0.0f, 0.0f, 0.0f}; }
-inline Lanes Splat(float a) { return Lanes{a, a, a, a}; }
-inline Lanes LoadLanes(const float* p) {
-  Lanes v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+/// The sums of four dot products' partial sums, into sum[0 .. 4).
+CROWDRL_KERNEL_INLINE void SumFourDots(const __m256* acc, float* sum) {
+  for (size_t q = 0; q < 4; ++q) sum[q] = SumDotLanes(acc[q], 0);
 }
-inline void StoreLanes(float* p, Lanes v) { std::memcpy(p, &v, sizeof(v)); }
-inline Lanes MulAdd(Lanes acc, Lanes a, Lanes b) { return acc + a * b; }
-/// The fixed four-lane combine of a blocked dot product.
-inline float SumLanes(Lanes v) { return (v[0] + v[1]) + (v[2] + v[3]); }
+#else
+// GCC/Clang vectors of four and eight floats: element-wise IEEE arithmetic
+// that the compiler lowers to the instruction set of the function it is
+// inlined into (SSE, AVX, or plain scalar code on a target without
+// vectors), with the accumulators held in registers — plain float arrays
+// of the same shape get spilled to the stack on every k step.
+typedef float Float4 __attribute__((vector_size(16)));
+typedef float Float8 __attribute__((vector_size(32)));
+/// The baseline build's tiles; the AVX variant runs Float8 tiles.
+using TileLanes = Float4;
+/// MatmulTransposeB's dot products keep four lanes in every variant; the
+/// AVX variant packs two of them into one Float8.
+using DotLanes = Float4;
+constexpr size_t kDotLanes = 4;
+/// `a` is a register or a float; a float is broadcast to every lane (which
+/// compiles to one broadcast, where a brace-initialised splat does not).
+template <typename V, typename A>
+CROWDRL_KERNEL_INLINE void MulAdd(V* acc, const A& a, const V& b) {
+  *acc = *acc + a * b;
+}
+/// Loads a[d][i .. i+4) into the d-th four lanes of `v`, for each dot
+/// product the register carries.
+CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
+                                        Float4* v) {
+  LoadLanes(a[0] + i, v);
+}
+/// Loads b[0 .. 4) into every four lanes of `v`.
+CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, Float4* v) {
+  LoadLanes(b, v);
+}
+/// The fixed four-lane combine of the `dot`-th blocked dot product in `v`.
+template <typename V>
+CROWDRL_KERNEL_INLINE float SumDotLanes(const V& v, size_t dot) {
+  const size_t l = dot * kDotLanes;
+  return (v[l] + v[l + 1]) + (v[l + 2] + v[l + 3]);
+}
+#ifdef CROWDRL_HAVE_SHUFFLEVECTOR
+/// Within each four lanes: [x0 + x1, x2 + x3, y0 + y1, y2 + y3].
+CROWDRL_KERNEL_INLINE void PairSums(const Float4& x, const Float4& y,
+                                    Float4* out) {
+  *out = __builtin_shufflevector(x, y, 0, 2, 4, 6) +
+         __builtin_shufflevector(x, y, 1, 3, 5, 7);
+}
 #endif
+#ifdef CROWDRL_DISPATCH_AVX
+CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
+                                        Float8* v) {
+  Float4 lo, hi;
+  LoadLanes(a[0] + i, &lo);
+  LoadLanes(a[1] + i, &hi);
+  *v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, Float8* v) {
+  Float4 x;
+  LoadLanes(b, &x);
+  *v = __builtin_shufflevector(x, x, 0, 1, 2, 3, 0, 1, 2, 3);
+}
+CROWDRL_KERNEL_INLINE void PairSums(const Float8& x, const Float8& y,
+                                    Float8* out) {
+  *out = __builtin_shufflevector(x, y, 0, 2, 8, 10, 4, 6, 12, 14) +
+         __builtin_shufflevector(x, y, 1, 3, 9, 11, 5, 7, 13, 15);
+}
+#endif
+/// SumDotLanes of four registers of dot products: sum[d * 4 + q] is dot d
+/// of acc[q]. With vector shuffles, every dot's lanes are combined in
+/// parallel by the same additions.
+template <typename V>
+CROWDRL_KERNEL_INLINE void SumFourDots(const V* acc, float* sum) {
+#ifdef CROWDRL_HAVE_SHUFFLEVECTOR
+  V p, q, r;
+  PairSums(acc[0], acc[1], &p);
+  PairSums(acc[2], acc[3], &q);
+  PairSums(p, q, &r);
+  StoreLanes(sum, r);
+#else
+  for (size_t d = 0; d < kLanesOf<V> / kDotLanes; ++d) {
+    for (size_t q = 0; q < 4; ++q) sum[d * 4 + q] = SumDotLanes(acc[q], d);
+  }
+#endif
+}
+#endif
+
+/// A(i, kk), or A(kk, i) for the Aᵀ·B kernels.
+template <bool kTransA>
+CROWDRL_KERNEL_INLINE float AAt(const Matrix& a, size_t i, size_t kk) {
+  return kTransA ? a.row_data(kk)[i] : a.row_data(i)[kk];
+}
 
 /// One R×W register tile of a matrix product, shared by MatmulInto (C = A·B,
 /// accumulators start at zero) and the Aᵀ·B kernels (C += Aᵀ·B, they start
@@ -73,108 +194,253 @@ inline float SumLanes(Lanes v) { return (v[0] + v[1]) + (v[2] + v[3]); }
 /// each is loaded (or zeroed) once and stored once, and each B row segment
 /// is read once per R rows. Per element the update sequence is exactly the
 /// scalar loop's — acc ← acc + a·b for k ascending — so moving the partial
-/// sums into registers changes no rounding step. W = 1 is the column tail,
-/// kept in plain floats.
-template <size_t R, size_t W, bool kTransA>
-inline void ProductTile(const Matrix& a, const Matrix& b, Matrix* c,
-                        size_t i0, size_t j0, size_t k) {
+/// sums into registers, or widening the registers, changes no rounding
+/// step. W = 1 is the column tail, kept in plain floats.
+template <typename V, size_t R, size_t W, bool kTransA>
+CROWDRL_KERNEL_INLINE void ProductTile(const Matrix& a, const Matrix& b,
+                                       Matrix* c, size_t i0, size_t j0,
+                                       size_t k) {
   float* crow[R];
   for (size_t r = 0; r < R; ++r) crow[r] = c->row_data(i0 + r) + j0;
-  const auto a_at = [&](size_t r, size_t kk) {
-    return kTransA ? a.row_data(kk)[i0 + r] : a.row_data(i0 + r)[kk];
-  };
   if constexpr (W == 1) {
     float acc[R];
     for (size_t r = 0; r < R; ++r) acc[r] = kTransA ? crow[r][0] : 0.0f;
     for (size_t kk = 0; kk < k; ++kk) {
       const float bv = b.row_data(kk)[j0];
-      for (size_t r = 0; r < R; ++r) acc[r] += a_at(r, kk) * bv;
+      for (size_t r = 0; r < R; ++r) acc[r] += AAt<kTransA>(a, i0 + r, kk) * bv;
     }
     for (size_t r = 0; r < R; ++r) crow[r][0] = acc[r];
   } else {
+    constexpr size_t kLanes = kLanesOf<V>;
     static_assert(W % kLanes == 0, "tile width must be whole registers");
-    constexpr size_t V = W / kLanes;
-    Lanes acc[R][V];
+    constexpr size_t kRegs = W / kLanes;
+    V acc[R][kRegs];
     for (size_t r = 0; r < R; ++r) {
-      for (size_t v = 0; v < V; ++v) {
-        acc[r][v] = kTransA ? LoadLanes(crow[r] + v * kLanes) : ZeroLanes();
+      for (size_t v = 0; v < kRegs; ++v) {
+        if (kTransA) {
+          LoadLanes(crow[r] + v * kLanes, &acc[r][v]);
+        } else {
+          acc[r][v] = V{};
+        }
       }
     }
     for (size_t kk = 0; kk < k; ++kk) {
       const float* brow = b.row_data(kk) + j0;
+      V bv[kRegs];
+      for (size_t v = 0; v < kRegs; ++v) LoadLanes(brow + v * kLanes, &bv[v]);
       for (size_t r = 0; r < R; ++r) {
-        const Lanes av = Splat(a_at(r, kk));
-        for (size_t v = 0; v < V; ++v) {
-          acc[r][v] = MulAdd(acc[r][v], av, LoadLanes(brow + v * kLanes));
-        }
+        const float av = AAt<kTransA>(a, i0 + r, kk);
+        for (size_t v = 0; v < kRegs; ++v) MulAdd(&acc[r][v], av, bv[v]);
       }
     }
     for (size_t r = 0; r < R; ++r) {
-      for (size_t v = 0; v < V; ++v) {
+      for (size_t v = 0; v < kRegs; ++v) {
         StoreLanes(crow[r] + v * kLanes, acc[r][v]);
       }
     }
   }
 }
 
-/// Covers rows [i0, i0+R) of the m×n product: 8-wide tiles, then one-column
+/// Covers rows [i0, i0+R) of the m×n product: two-register-wide tiles
+/// (4×16 with 8-float registers), then one-register tiles, then one-column
 /// tails. A lone row (R = 1) first takes 32-wide tiles, so it still keeps
 /// enough independent accumulators in flight to hide the add latency.
-template <size_t R, bool kTransA>
-inline void ProductRowBlock(const Matrix& a, const Matrix& b, Matrix* c,
-                            size_t i0, size_t n, size_t k) {
+template <typename V, size_t R, bool kTransA>
+CROWDRL_KERNEL_INLINE void ProductRowBlock(const Matrix& a, const Matrix& b,
+                                           Matrix* c, size_t i0, size_t n,
+                                           size_t k) {
+  constexpr size_t kLanes = kLanesOf<V>;
   size_t j = 0;
   if constexpr (R == 1) {
-    for (; j + 32 <= n; j += 32) ProductTile<1, 32, kTransA>(a, b, c, i0, j, k);
+    for (; j + 32 <= n; j += 32) {
+      ProductTile<V, 1, 32, kTransA>(a, b, c, i0, j, k);
+    }
   }
-  for (; j + 8 <= n; j += 8) ProductTile<R, 8, kTransA>(a, b, c, i0, j, k);
-  for (; j < n; ++j) ProductTile<R, 1, kTransA>(a, b, c, i0, j, k);
+  for (; j + 2 * kLanes <= n; j += 2 * kLanes) {
+    ProductTile<V, R, 2 * kLanes, kTransA>(a, b, c, i0, j, k);
+  }
+  for (; j + kLanes <= n; j += kLanes) {
+    ProductTile<V, R, kLanes, kTransA>(a, b, c, i0, j, k);
+  }
+  for (; j < n; ++j) ProductTile<V, R, 1, kTransA>(a, b, c, i0, j, k);
 }
 
-/// The tiled product both bit-exact matmuls run: 4-row blocks, then a
+/// The tiled product all bit-exact matmuls run: 4-row blocks, then a
 /// one-row tail. `*c` must already have the product's shape.
-template <bool kTransA>
-void TiledProduct(const Matrix& a, const Matrix& b, Matrix* c) {
+template <typename V, bool kTransA>
+CROWDRL_KERNEL_INLINE void TiledProduct(const Matrix& a, const Matrix& b,
+                                        Matrix* c) {
   const size_t m = kTransA ? a.cols() : a.rows();
   const size_t k = kTransA ? a.rows() : a.cols();
   const size_t n = b.cols();
   size_t i = 0;
-  for (; i + 4 <= m; i += 4) ProductRowBlock<4, kTransA>(a, b, c, i, n, k);
-  for (; i < m; ++i) ProductRowBlock<1, kTransA>(a, b, c, i, n, k);
+  for (; i + 4 <= m; i += 4) ProductRowBlock<V, 4, kTransA>(a, b, c, i, n, k);
+  for (; i < m; ++i) ProductRowBlock<V, 1, kTransA>(a, b, c, i, n, k);
 }
 
-/// Q dot products a·b[q] at once, each with a reassociated reduction:
-/// kLanes independent partial sums so the k loop vectorizes, combined by
-/// SumLanes, then a sequential tail. Sharing the loads of `a` across Q
-/// outputs changes no output's operation sequence, so Q = 4 and Q = 1 give
-/// the same bits. (A float reduction cannot vectorize in order, so this is
+/// The dot products a[d]·b[q] for every q < Q and every d < kDots, where
+/// kDots = kLanesOf<V> / kDotLanes is the number of dots a register
+/// carries side by side (two A rows per Float8, one otherwise). Each has a
+/// reassociated reduction: kDotLanes independent partial sums so the k
+/// loop vectorizes, combined by SumDotLanes, then a sequential tail.
+/// Sharing loads across outputs, or a register between dots, changes no
+/// output's operation sequence, so every Q and register width give the
+/// same bits. (A float reduction cannot vectorize in order, so this is
 /// bounded-epsilon against the sequential Dot.)
-template <size_t Q>
-inline void DotBlocked(const float* a, const float* const* b, size_t n,
-                       float* out) {
-  Lanes acc[Q];
-  for (size_t q = 0; q < Q; ++q) acc[q] = ZeroLanes();
+template <typename V, size_t Q>
+CROWDRL_KERNEL_INLINE void DotBlocked(const float* const* a,
+                                      const float* const* b, size_t n,
+                                      float* const* out) {
+  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
+  V acc[Q];
+  for (size_t q = 0; q < Q; ++q) acc[q] = V{};
   size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const Lanes va = LoadLanes(a + i);
+  for (; i + kDotLanes <= n; i += kDotLanes) {
+    V va;
+    LoadDotLanes(a, i, &va);
     for (size_t q = 0; q < Q; ++q) {
-      acc[q] = MulAdd(acc[q], va, LoadLanes(b[q] + i));
+      V vb;
+      LoadSharedDotLanes(b[q] + i, &vb);
+      MulAdd(&acc[q], va, vb);
     }
   }
-  for (size_t q = 0; q < Q; ++q) {
-    float sum = SumLanes(acc[q]);
-    for (size_t t = i; t < n; ++t) sum += a[t] * b[q][t];
-    out[q] = sum;
+  float sum[kDots][Q];
+  if constexpr (Q == 4) {
+    SumFourDots(acc, &sum[0][0]);
+  } else {
+    for (size_t d = 0; d < kDots; ++d) {
+      for (size_t q = 0; q < Q; ++q) sum[d][q] = SumDotLanes(acc[q], d);
+    }
   }
+  for (size_t t = i; t < n; ++t) {
+    for (size_t d = 0; d < kDots; ++d) {
+      for (size_t q = 0; q < Q; ++q) sum[d][q] += a[d][t] * b[q][t];
+    }
+  }
+  for (size_t d = 0; d < kDots; ++d) {
+    for (size_t q = 0; q < Q; ++q) out[d][q] = sum[d][q];
+  }
+}
+
+/// C(i0 + d, j + q) = A(i0 + d)·B(j + q) for d < kDots, q < Q.
+template <typename V, size_t Q>
+CROWDRL_KERNEL_INLINE void DotTile(const Matrix& a, const Matrix& b,
+                                   Matrix* c, size_t i0, size_t j) {
+  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
+  const float* arows[kDots];
+  float* out[kDots];
+  for (size_t d = 0; d < kDots; ++d) {
+    arows[d] = a.row_data(i0 + d);
+    out[d] = c->row_data(i0 + d) + j;
+  }
+  const float* brows[Q];
+  for (size_t q = 0; q < Q; ++q) brows[q] = b.row_data(j + q);
+  DotBlocked<V, Q>(arows, brows, a.cols(), out);
+}
+
+/// C = A·Bᵀ: blocks of as many A rows as a V register carries dots (then
+/// single rows) by four B rows (then single B rows). `*c` must already
+/// have the product's shape.
+template <typename V>
+CROWDRL_KERNEL_INLINE void DotProducts(const Matrix& a, const Matrix& b,
+                                       Matrix* c) {
+  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
+  const size_t m = a.rows(), n = b.rows();
+  size_t i = 0;
+  for (; i + kDots <= m; i += kDots) {
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) DotTile<V, 4>(a, b, c, i, j);
+    for (; j < n; ++j) DotTile<V, 1>(a, b, c, i, j);
+  }
+  for (; i < m; ++i) {
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) DotTile<DotLanes, 4>(a, b, c, i, j);
+    for (; j < n; ++j) DotTile<DotLanes, 1>(a, b, c, i, j);
+  }
+}
+
+/// One compiled copy of the matmul kernels. Each entry point writes a
+/// destination that already has the product's shape: `product` and
+/// `product_tb` overwrite it, `product_ta` accumulates onto it.
+struct MatmulKernels {
+  void (*product)(const Matrix& a, const Matrix& b, Matrix* c);     // A·B
+  void (*product_ta)(const Matrix& a, const Matrix& b, Matrix* c);  // +Aᵀ·B
+  void (*product_tb)(const Matrix& a, const Matrix& b, Matrix* c);  // A·Bᵀ
+};
+
+void BaselineProduct(const Matrix& a, const Matrix& b, Matrix* c) {
+  TiledProduct<TileLanes, /*kTransA=*/false>(a, b, c);
+}
+void BaselineProductTA(const Matrix& a, const Matrix& b, Matrix* c) {
+  TiledProduct<TileLanes, /*kTransA=*/true>(a, b, c);
+}
+void BaselineProductTB(const Matrix& a, const Matrix& b, Matrix* c) {
+  DotProducts<DotLanes>(a, b, c);
+}
+constexpr MatmulKernels kBaselineKernels = {
+    BaselineProduct, BaselineProductTA, BaselineProductTB};
+
+#ifdef CROWDRL_DISPATCH_AVX
+// The `avx` target enables 256-bit registers but not FMA, so every
+// `acc + a·b` still rounds twice and the results stay bit-identical to the
+// baseline's.
+__attribute__((target("avx"))) void AvxProduct(const Matrix& a,
+                                               const Matrix& b, Matrix* c) {
+  TiledProduct<Float8, /*kTransA=*/false>(a, b, c);
+}
+__attribute__((target("avx"))) void AvxProductTA(const Matrix& a,
+                                                 const Matrix& b, Matrix* c) {
+  TiledProduct<Float8, /*kTransA=*/true>(a, b, c);
+}
+__attribute__((target("avx"))) void AvxProductTB(const Matrix& a,
+                                                 const Matrix& b, Matrix* c) {
+  DotProducts<Float8>(a, b, c);
+}
+constexpr MatmulKernels kAvxKernels = {AvxProduct, AvxProductTA,
+                                       AvxProductTB};
+#endif
+
+const MatmulKernels& KernelsOf(KernelVariant v) {
+  CROWDRL_CHECK_MSG(KernelVariantAvailable(v),
+                    "kernel variant not available on this build or CPU");
+#ifdef CROWDRL_DISPATCH_AVX
+  if (v == KernelVariant::kAvx) return kAvxKernels;
+#endif
+  return kBaselineKernels;
 }
 
 }  // namespace
 
+bool KernelVariantAvailable(KernelVariant v) {
+  if (v == KernelVariant::kBaseline) return true;
+#ifdef CROWDRL_DISPATCH_AVX
+  // Also checks that the OS saves the 256-bit register state.
+  return __builtin_cpu_supports("avx");
+#else
+  return false;
+#endif
+}
+
+KernelVariant SelectedKernelVariant() {
+  static const KernelVariant selected =
+      KernelVariantAvailable(KernelVariant::kAvx) ? KernelVariant::kAvx
+                                                  : KernelVariant::kBaseline;
+  return selected;
+}
+
+const char* KernelVariantName(KernelVariant v) {
+  if (v == KernelVariant::kAvx) return "avx";
+#if defined(CROWDRL_HAVE_AVX2)
+  return "avx2-fma";
+#elif defined(CROWDRL_DISPATCH_AVX)
+  return "sse";
+#else
+  return "generic";
+#endif
+}
+
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  c->Resize(a.rows(), b.cols());
-  TiledProduct</*kTransA=*/false>(a, b, c);
+  variant::MatmulInto(SelectedKernelVariant(), a, b, c);
 }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
@@ -184,24 +450,7 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c->Resize(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c->row_data(i);
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* brows[4] = {b.row_data(j), b.row_data(j + 1),
-                               b.row_data(j + 2), b.row_data(j + 3)};
-      DotBlocked<4>(arow, brows, k, crow + j);
-    }
-    for (; j < n; ++j) {
-      const float* brow = b.row_data(j);
-      DotBlocked<1>(arow, &brow, k, crow + j);
-    }
-  }
+  variant::MatmulTransposeBInto(SelectedKernelVariant(), a, b, c);
 }
 
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
@@ -211,11 +460,7 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  c->Resize(a.cols(), b.cols());
-  c->SetZero();
-  TiledProduct</*kTransA=*/true>(a, b, c);
+  variant::MatmulTransposeAInto(SelectedKernelVariant(), a, b, c);
 }
 
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
@@ -225,11 +470,45 @@ Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
+  variant::MatmulTransposeAAccumulate(SelectedKernelVariant(), a, b, c);
+}
+
+namespace variant {
+
+void MatmulInto(KernelVariant v, const Matrix& a, const Matrix& b,
+                Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.cols());
+  KernelsOf(v).product(a, b, c);
+}
+
+void MatmulTransposeBInto(KernelVariant v, const Matrix& a, const Matrix& b,
+                          Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.rows());
+  KernelsOf(v).product_tb(a, b, c);
+}
+
+void MatmulTransposeAInto(KernelVariant v, const Matrix& a, const Matrix& b,
+                          Matrix* c) {
+  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.cols(), b.cols());
+  c->SetZero();
+  KernelsOf(v).product_ta(a, b, c);
+}
+
+void MatmulTransposeAAccumulate(KernelVariant v, const Matrix& a,
+                                const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
   CROWDRL_CHECK(c != &a && c != &b);
-  TiledProduct</*kTransA=*/true>(a, b, c);
+  KernelsOf(v).product_ta(a, b, c);
 }
+
+}  // namespace variant
 
 namespace {
 

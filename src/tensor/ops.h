@@ -18,27 +18,36 @@ namespace crowdrl {
 /// Two implementation tiers exist (the "tolerance ladder" the kernel tests
 /// enforce; see tests/tensor/kernel_equivalence_test.cc):
 ///
-///  * **bit-exact tier** (scalar build) — `Matmul` and `MatmulTransposeA`
-///    keep the scalar per-element reduction order (k ascending): they run
-///    4-row × 8-column register tiles whose accumulators live across the
-///    whole k loop, which moves where partial sums live but not a single
-///    rounding step, so results are bit-identical to the plain scalar
-///    loops in `reference::`. `MatmulTransposeB` computes four dot
-///    products at a time, each with the same fixed four-lane reduction
-///    (lane sums, `(s0 + s1) + (s2 + s3)`, sequential tail), so it is
-///    bit-exact against that four-lane reduction — though not against the
-///    sequential `reference::MatmulTransposeB`, from which it stays a
-///    k-scaled epsilon away (a float reduction cannot vectorize in order).
+///  * **bit-exact tier** (portable build) — `Matmul` and
+///    `MatmulTransposeA` keep the scalar per-element reduction order
+///    (k ascending): they run register tiles (4×16, 4×8 and 1×32 with
+///    8-float registers) whose accumulators live across the whole k loop,
+///    which moves where partial sums live but not a single rounding step,
+///    so results are bit-identical to the plain scalar loops in
+///    `reference::`. `MatmulTransposeB` computes dot products four B rows
+///    at a time, each with the same fixed four-lane reduction (lane sums,
+///    `(s0 + s1) + (s2 + s3)`, sequential tail), so it is bit-exact against
+///    that four-lane reduction — though not against the sequential
+///    `reference::MatmulTransposeB`, from which it stays a k-scaled epsilon
+///    away (a float reduction cannot vectorize in order).
+///    On x86 the portable build compiles these kernels twice: for the
+///    build's baseline (SSE, 4-float registers) and for AVX (8-float
+///    registers, which carry the four lanes of two A rows' dots side by
+///    side in `MatmulTransposeB`). The AVX copy runs wherever the CPU has
+///    AVX, chosen once at first use (SelectedKernelVariant); no flag or
+///    setting picks it. The `avx` target has no FMA, so each `acc + a·b`
+///    still rounds twice and both copies give the same bits.
 ///  * **bounded-epsilon tier** — every kernel compiled under
 ///    `CROWDRL_ENABLE_AVX2` uses 8-wide FMA (per-element FMA order inside
 ///    the tiles is kept, but an FMA rounds once where the scalar loop
-///    rounds twice), and `MatmulTransposeAAccumulate` interleaves with C's
-///    prior contents. These agree with the references only to a k-scaled
-///    epsilon. They remain deterministic: the same inputs always produce
-///    the same bits, which is all the serial == service equivalence chain
-///    needs.
+///    rounds twice, which is why that build is not bit-exact), and
+///    `MatmulTransposeAAccumulate` against `C += MatmulTransposeA(A, B)`
+///    (it interleaves with C's prior contents). These agree with the
+///    references only to a k-scaled epsilon. They remain
+///    deterministic: the same inputs always produce the same bits, which is
+///    all the serial == service equivalence chain needs.
 ///
-/// The learner depends on the scalar build's exactness: its action-row
+/// The learner depends on the portable build's exactness: its action-row
 /// training pass (SetQNetwork::ForwardAction/BackwardAction) runs the same
 /// per-element operations on a single row that the dense pass runs on
 /// every row, and only that keeps perfbench's recorded quality rows
@@ -59,16 +68,36 @@ namespace crowdrl {
 /// (-DCROWDRL_ENABLE_AVX2=ON); false for the portable scalar fallback.
 bool KernelUsesAvx2();
 
-/// C = A·B. Shapes: (m×k)·(k×n) → m×n. Bit-exact tier (scalar build).
+/// The compiled copies of the matmul kernels (MatmulInto,
+/// MatmulTransposeBInto, MatmulTransposeAInto, MatmulTransposeAAccumulate).
+enum class KernelVariant {
+  /// The build's own target: SSE on x86 (the AVX2/FMA body when
+  /// -DCROWDRL_ENABLE_AVX2=ON), plain vectors elsewhere. Always available.
+  kBaseline,
+  /// 8-float AVX tiles without FMA; only in the portable x86 build, and
+  /// only runnable on a CPU (and OS) with AVX.
+  kAvx,
+};
+
+/// True when `v` is compiled into this build and this CPU can run it.
+bool KernelVariantAvailable(KernelVariant v);
+/// The variant the matmul kernels run, chosen once, at first use: kAvx
+/// when available, else kBaseline.
+KernelVariant SelectedKernelVariant();
+/// "avx", "sse" (portable x86 baseline), "avx2-fma" (the
+/// CROWDRL_ENABLE_AVX2 build) or "generic" (other targets).
+const char* KernelVariantName(KernelVariant v);
+
+/// C = A·B. Shapes: (m×k)·(k×n) → m×n. Bit-exact tier (portable build).
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
 /// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bit-exact against the four-lane
-/// reduction (scalar build); bounded-epsilon against the sequential loop.
+/// reduction (portable build); bounded-epsilon against the sequential loop.
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 
-/// C = Aᵀ·B. Shapes: (k×m)ᵀ·(k×n) → m×n. Bit-exact tier (scalar build).
+/// C = Aᵀ·B. Shapes: (k×m)ᵀ·(k×n) → m×n. Bit-exact tier (portable build).
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b);
 
@@ -128,6 +157,21 @@ void ScaledMaskedSoftmaxRows(Matrix* m, float scale,
                              long valid_rows);
 
 }  // namespace reference
+
+/// The matmul kernels of one compiled variant, bypassing the run-time
+/// choice, so the kernel tests can compare the variants with each other.
+/// `v` must be available (KernelVariantAvailable). Not for production use.
+namespace variant {
+
+void MatmulInto(KernelVariant v, const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulTransposeBInto(KernelVariant v, const Matrix& a, const Matrix& b,
+                          Matrix* c);
+void MatmulTransposeAInto(KernelVariant v, const Matrix& a, const Matrix& b,
+                          Matrix* c);
+void MatmulTransposeAAccumulate(KernelVariant v, const Matrix& a,
+                                const Matrix& b, Matrix* c);
+
+}  // namespace variant
 
 }  // namespace crowdrl
 

@@ -149,6 +149,35 @@ void RunLoopbackEquivalence(const ActorClient::TransportOptions& transport) {
   }
   EXPECT_GT(completions, 0) << "degenerate trajectory: nothing completed";
 
+  // The client's fetched replica, taken while the daemon still serves.
+  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
+  ASSERT_NE(actor->replica(), nullptr);
+  std::string replica_bytes;
+  ASSERT_TRUE(AppendSnapshotResponse(*actor->replica(), 0, &replica_bytes)
+                  .ok());
+
+  // Both services really learned every event.
+  EXPECT_EQ(inproc->stats().aggregate.events_processed, kEvents);
+  EXPECT_EQ(remote->stats().aggregate.events_processed, kEvents);
+
+  // The shm upgrade is visible in the daemon's transport counters, and
+  // with a minimal 4 KiB ring the 16 KiB-ish snapshot responses must have
+  // streamed through backpressure rather than silently widening the ring.
+  if (shm) {
+    EXPECT_EQ(daemon.Stats().transport_shm_connections, 1);
+    EXPECT_EQ(actor->ring_stats().ring_capacity,
+              static_cast<int64_t>(kMinShmRingCapacity));
+  }
+
+  // The framework state below is written by the services' batcher and
+  // learner threads. Read it only after Stop() has joined them: over shm
+  // the replies that order those writes before this thread's reads pass
+  // through a shared-memory ring, which a race detector cannot see as
+  // synchronization.
+  daemon.Stop();
+  remote->Stop();
+  inproc->Stop();
+
   // Identical learning state: exploration clock, replay occupancy, every
   // network parameter.
   TaskArrangementFramework* fw_a = inproc->shard(0)->framework();
@@ -170,30 +199,7 @@ void RunLoopbackEquivalence(const ActorClient::TransportOptions& transport) {
   ASSERT_TRUE(AppendSnapshotResponse(*snap_a, 0, &bytes_a).ok());
   ASSERT_TRUE(AppendSnapshotResponse(*snap_b, 0, &bytes_b).ok());
   EXPECT_EQ(bytes_a, bytes_b);
-
-  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
-  ASSERT_NE(actor->replica(), nullptr);
-  std::string replica_bytes;
-  ASSERT_TRUE(AppendSnapshotResponse(*actor->replica(), 0, &replica_bytes)
-                  .ok());
   EXPECT_EQ(replica_bytes, bytes_a);
-
-  // Both services really learned every event.
-  EXPECT_EQ(inproc->stats().aggregate.events_processed, kEvents);
-  EXPECT_EQ(remote->stats().aggregate.events_processed, kEvents);
-
-  // The shm upgrade is visible in the daemon's transport counters, and
-  // with a minimal 4 KiB ring the 16 KiB-ish snapshot responses must have
-  // streamed through backpressure rather than silently widening the ring.
-  if (shm) {
-    EXPECT_EQ(daemon.Stats().transport_shm_connections, 1);
-    EXPECT_EQ(actor->ring_stats().ring_capacity,
-              static_cast<int64_t>(kMinShmRingCapacity));
-  }
-
-  daemon.Stop();
-  remote->Stop();
-  inproc->Stop();
 }
 
 TEST(LoopbackEquivalenceTest, WireActorReplaysInProcessTrajectory) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "rl/prioritized_replay.h"
-#include "rl/replay_buffer.h"
 
 namespace crowdrl {
 namespace {
@@ -13,28 +12,6 @@ Transition MakeTransition(float reward) {
   t.action_row = 0;
   t.reward = reward;
   return t;
-}
-
-TEST(ReplayBufferTest, FillsThenWrapsOldestFirst) {
-  ReplayBuffer buf(3);
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.Add(MakeTransition(0)), 0u);
-  EXPECT_EQ(buf.Add(MakeTransition(1)), 1u);
-  EXPECT_EQ(buf.Add(MakeTransition(2)), 2u);
-  EXPECT_EQ(buf.size(), 3u);
-  // Fourth insert evicts slot 0.
-  EXPECT_EQ(buf.Add(MakeTransition(3)), 0u);
-  EXPECT_EQ(buf.at(0).reward, 3.0f);
-  EXPECT_EQ(buf.size(), 3u);
-}
-
-TEST(ReplayBufferTest, SampleReturnsValidSlots) {
-  ReplayBuffer buf(8);
-  for (int i = 0; i < 5; ++i) buf.Add(MakeTransition(i));
-  Rng rng(1);
-  auto slots = buf.Sample(64, &rng);
-  EXPECT_EQ(slots.size(), 64u);
-  for (size_t s : slots) EXPECT_LT(s, 5u);
 }
 
 PrioritizedReplayConfig SmallConfig(size_t capacity) {

@@ -6,17 +6,20 @@
 //                    (against the in-order scalar loops), MatmulTransposeB
 //                    (against the four-lane blocked dot reduction, which
 //                    perfbench's recorded quality rows depend on) and the
-//                    fused scale+mask+softmax — scalar build only: the AVX2
-//                    build fuses multiply-adds, so it drops to
+//                    fused scale+mask+softmax — portable build only: the
+//                    AVX2 build fuses multiply-adds, so it drops to
 //                    bounded-epsilon
 //  * bounded-epsilon: MatmulTransposeB against the sequential dot, and
 //                    every kernel under CROWDRL_ENABLE_AVX2
 //
-// plus the IEEE NaN/Inf-propagation regression the old zero-skip broke.
+// plus the IEEE NaN/Inf-propagation regression the old zero-skip broke, and
+// the two compiled copies of the matmul kernels (SSE baseline and AVX)
+// called directly on the same inputs and required to agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <string>
 
@@ -107,11 +110,13 @@ Matrix InOrderTransposeAAccumulate(const Matrix& a, const Matrix& b,
   return c;
 }
 
-// Every size on both sides of the register-tile edges: 4-row blocks,
-// 8-column tiles, the 32-column tiles of a lone row, and the blocked dot's
-// four-lane (eight under AVX2) steps.
+// Every size on both sides of the register-tile edges: 4-row blocks, the
+// 16- and 8-column tiles (8- and 4-column on the SSE baseline), the
+// 32-column tiles of a lone row, and the blocked dot's four-lane (eight
+// under AVX2) steps.
 constexpr size_t kTileM[] = {1, 3, 4, 5, 8, 15, 16, 17};
-constexpr size_t kTileN[] = {1, 7, 8, 9, 16, 17, 40, 64, 65};
+constexpr size_t kTileN[] = {1,  7,  8,  9,  15, 16, 17,
+                             24, 31, 32, 33, 40, 64, 65};
 constexpr size_t kTileK[] = {1, 3, 4, 5, 16, 74};
 
 TEST(KernelEquivalenceTest, TiledKernelsMatchAcrossTileEdges) {
@@ -238,6 +243,211 @@ TEST(KernelEquivalenceTest, MatmulTransposeBPropagatesNaN) {
   Matrix b = Matrix::FromRows({{std::nanf(""), 5.0f}});
   Matrix c = MatmulTransposeB(a, b);
   EXPECT_TRUE(std::isnan(c(0, 0)));
+}
+
+// ---- the compiled kernel variants against each other ----
+
+/// Whether this CPU can run AVX code, asked independently of the kernels'
+/// own check.
+bool CpuHasAvx() {
+#if defined(__x86_64__) || defined(__i386__)
+  return __builtin_cpu_supports("avx");
+#else
+  return false;
+#endif
+}
+
+/// Every matmul kernel of one variant on the same inputs.
+struct VariantProducts {
+  Matrix product, product_ta, accumulated, product_tb;
+};
+
+VariantProducts RunVariant(KernelVariant v, const Matrix& a, const Matrix& b,
+                           const Matrix& at, const Matrix& bt,
+                           const Matrix& c0) {
+  VariantProducts out;
+  variant::MatmulInto(v, a, b, &out.product);
+  variant::MatmulTransposeAInto(v, at, b, &out.product_ta);
+  out.accumulated = c0;
+  variant::MatmulTransposeAAccumulate(v, at, b, &out.accumulated);
+  variant::MatmulTransposeBInto(v, a, bt, &out.product_tb);
+  return out;
+}
+
+/// The inputs of RunVariant for an m×k·k×n product (C₀ is m×n, non-zero).
+struct VariantInputs {
+  VariantInputs(size_t m, size_t n, size_t k, Rng* rng)
+      : a(Matrix::Uniform(m, k, rng, -2.0f, 2.0f)),
+        b(Matrix::Uniform(k, n, rng, -2.0f, 2.0f)),
+        at(Matrix::Uniform(k, m, rng, -2.0f, 2.0f)),
+        bt(Matrix::Uniform(n, k, rng, -2.0f, 2.0f)),
+        c0(Matrix::Uniform(m, n, rng, -2.0f, 2.0f)) {}
+  VariantProducts Run(KernelVariant v) const {
+    return RunVariant(v, a, b, at, bt, c0);
+  }
+  Matrix a, b, at, bt, c0;
+};
+
+TEST(KernelEquivalenceTest, SelectedVariantIsAvxWhereTheCpuHasIt) {
+  const KernelVariant selected = SelectedKernelVariant();
+  std::cout << "matmul kernel variant: " << KernelVariantName(selected)
+            << "\n";
+  RecordProperty("kernel_variant", KernelVariantName(selected));
+  if (KernelUsesAvx2()) {
+    // The FMA build keeps its single body.
+    EXPECT_EQ(selected, KernelVariant::kBaseline);
+    EXPECT_STREQ(KernelVariantName(selected), "avx2-fma");
+    EXPECT_FALSE(KernelVariantAvailable(KernelVariant::kAvx));
+    return;
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(KernelVariantAvailable(KernelVariant::kAvx), CpuHasAvx());
+  EXPECT_STREQ(KernelVariantName(selected), CpuHasAvx() ? "avx" : "sse");
+#else
+  EXPECT_STREQ(KernelVariantName(selected), "generic");
+#endif
+  EXPECT_EQ(selected, CpuHasAvx() ? KernelVariant::kAvx
+                                  : KernelVariant::kBaseline);
+}
+
+// The baseline copy, called directly, stays covered on hosts that select
+// the AVX one for everything else.
+TEST(KernelEquivalenceTest, BaselineVariantMatchesReferencesAcrossTileEdges) {
+  Rng rng(110);
+  for (size_t m : kTileM) {
+    for (size_t n : kTileN) {
+      for (size_t k : kTileK) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        const VariantInputs in(m, n, k, &rng);
+        const VariantProducts base = in.Run(KernelVariant::kBaseline);
+        ExpectTier(base.product, reference::Matmul(in.a, in.b), k,
+                   /*bit_exact_tier=*/true);
+        ExpectTier(base.product_ta, reference::MatmulTransposeA(in.at, in.b),
+                   k, /*bit_exact_tier=*/true);
+        ExpectTier(base.accumulated,
+                   InOrderTransposeAAccumulate(in.at, in.b, in.c0), k,
+                   /*bit_exact_tier=*/true);
+        ExpectTier(base.product_tb, FourLaneMatmulTransposeB(in.a, in.bt), k,
+                   /*bit_exact_tier=*/true);
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, AvxVariantMatchesBaselineBitForBit) {
+  if (!KernelVariantAvailable(KernelVariant::kAvx)) {
+    GTEST_SKIP() << (CpuHasAvx() ? "this build has no AVX variant"
+                                 : "this CPU has no AVX");
+  }
+  Rng rng(111);
+  for (size_t m : kTileM) {
+    for (size_t n : kTileN) {
+      for (size_t k : kTileK) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        const VariantInputs in(m, n, k, &rng);
+        const VariantProducts base = in.Run(KernelVariant::kBaseline);
+        const VariantProducts avx = in.Run(KernelVariant::kAvx);
+        EXPECT_TRUE(BitIdentical(avx.product, base.product)) << "Matmul";
+        EXPECT_TRUE(BitIdentical(avx.product_ta, base.product_ta))
+            << "MatmulTransposeA";
+        EXPECT_TRUE(BitIdentical(avx.accumulated, base.accumulated))
+            << "MatmulTransposeAAccumulate";
+        EXPECT_TRUE(BitIdentical(avx.product_tb, base.product_tb))
+            << "MatmulTransposeB";
+      }
+    }
+  }
+}
+
+/// Same bits element by element, except that any NaN matches any NaN: IEEE
+/// leaves open which operand's payload a NaN result carries, and the two
+/// instruction sets may order a commutative operation's operands
+/// differently.
+bool SameValues(const Matrix& x, const Matrix& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) {
+      const float xv = x(r, c), yv = y(r, c);
+      if (std::isnan(xv) && std::isnan(yv)) continue;
+      if (std::memcmp(&xv, &yv, sizeof(float)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+size_t CountNaN(const Matrix& x) {
+  size_t count = 0;
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t c = 0; c < x.cols(); ++c) count += std::isnan(x(r, c));
+  }
+  return count;
+}
+
+/// Overwrites about one entry in `every` with NaN, ±Inf, ±0 in turn.
+void Poison(Matrix* x, Rng* rng, uint64_t every) {
+  const float specials[] = {std::nanf(""),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), 0.0f,
+                            -0.0f};
+  size_t next = 0;
+  for (size_t r = 0; r < x->rows(); ++r) {
+    for (size_t c = 0; c < x->cols(); ++c) {
+      if (rng->UniformInt(every) == 0) {
+        (*x)(r, c) = specials[next++ % (sizeof(specials) / sizeof(float))];
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, AvxVariantPropagatesNaNAndInfLikeBaseline) {
+  if (!KernelVariantAvailable(KernelVariant::kAvx)) {
+    GTEST_SKIP() << (CpuHasAvx() ? "this build has no AVX variant"
+                                 : "this CPU has no AVX");
+  }
+  Rng rng(112);
+  for (size_t m : {size_t{1}, size_t{4}, size_t{5}, size_t{17}}) {
+    for (size_t n : {size_t{8}, size_t{16}, size_t{33}, size_t{65}}) {
+      for (size_t k : {size_t{4}, size_t{16}, size_t{74}}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        VariantInputs in(m, n, k, &rng);
+        for (Matrix* x : {&in.a, &in.b, &in.at, &in.bt, &in.c0}) {
+          Poison(x, &rng, 29);
+        }
+        const VariantProducts base = in.Run(KernelVariant::kBaseline);
+        const VariantProducts avx = in.Run(KernelVariant::kAvx);
+        EXPECT_TRUE(SameValues(avx.product, base.product)) << "Matmul";
+        EXPECT_TRUE(SameValues(avx.product_ta, base.product_ta))
+            << "MatmulTransposeA";
+        EXPECT_TRUE(SameValues(avx.accumulated, base.accumulated))
+            << "MatmulTransposeAAccumulate";
+        EXPECT_TRUE(SameValues(avx.product_tb, base.product_tb))
+            << "MatmulTransposeB";
+        if (k == 74) {
+          // With about 2.5 specials per 74-long reduction, NaNs must show.
+          EXPECT_GT(CountNaN(avx.product) + CountNaN(avx.product_tb), 0u);
+        }
+      }
+    }
+  }
+
+  // A NaN or Inf in B behind a zero in A still poisons the sum (0·NaN and
+  // 0·∞ are NaN), in every tile shape of the AVX copy.
+  for (size_t n : {size_t{1}, size_t{8}, size_t{16}, size_t{32}}) {
+    Matrix a(5, 2);
+    for (size_t r = 0; r < 5; ++r) a(r, 1) = 1.0f;
+    Matrix b(2, n);
+    for (size_t c = 0; c < n; ++c) {
+      b(0, c) = c % 2 ? std::numeric_limits<float>::infinity()
+                      : std::nanf("");
+      b(1, c) = 2.0f;
+    }
+    Matrix c;
+    variant::MatmulInto(KernelVariant::kAvx, a, b, &c);
+    EXPECT_EQ(CountNaN(c), 5 * n) << "n=" << n;
+  }
 }
 
 // ---- fused scale+mask+softmax vs. unfused reference ----
