@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#if defined(__has_builtin)
-#if __has_builtin(__builtin_shufflevector)
-#define CROWDRL_HAVE_SHUFFLEVECTOR 1
-#endif
-#endif
-
 #ifdef CROWDRL_HAVE_AVX2
 #include <immintrin.h>
-#elif (defined(__x86_64__) || defined(__i386__)) && \
-    defined(CROWDRL_HAVE_SHUFFLEVECTOR)
+#elif defined(__x86_64__) || defined(__i386__)
 // The portable x86 build carries a second copy of the matmul kernels,
 // compiled for AVX (8-float registers, no FMA) and chosen at run time.
 #define CROWDRL_DISPATCH_AVX 1
@@ -70,7 +63,6 @@ CROWDRL_KERNEL_INLINE void StoreLanes(float* p, const V& v) {
 #ifdef CROWDRL_HAVE_AVX2
 using TileLanes = __m256;
 using DotLanes = __m256;
-constexpr size_t kDotLanes = 8;
 CROWDRL_KERNEL_INLINE void MulAdd(__m256* acc, const __m256& a,
                                   const __m256& b) {
   *acc = _mm256_fmadd_ps(a, b, *acc);
@@ -78,26 +70,14 @@ CROWDRL_KERNEL_INLINE void MulAdd(__m256* acc, const __m256& a,
 CROWDRL_KERNEL_INLINE void MulAdd(__m256* acc, float a, const __m256& b) {
   MulAdd(acc, _mm256_set1_ps(a), b);
 }
-/// Loads a[0][i .. i+8): the lanes of one dot product.
-CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
-                                        __m256* v) {
-  LoadLanes(a[0] + i, v);
-}
-CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, __m256* v) {
-  LoadLanes(b, v);
-}
 /// Horizontal sum of the eight partial sums of a blocked dot product.
-CROWDRL_KERNEL_INLINE float SumDotLanes(const __m256& v, size_t /*dot*/) {
+CROWDRL_KERNEL_INLINE float SumDotLanes(const __m256& v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
   __m128 s = _mm_add_ps(lo, hi);
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
-}
-/// The sums of four dot products' partial sums, into sum[0 .. 4).
-CROWDRL_KERNEL_INLINE void SumFourDots(const __m256* acc, float* sum) {
-  for (size_t q = 0; q < 4; ++q) sum[q] = SumDotLanes(acc[q], 0);
 }
 #else
 // GCC/Clang vectors of four and eight floats: element-wise IEEE arithmetic
@@ -109,75 +89,17 @@ typedef float Float4 __attribute__((vector_size(16)));
 typedef float Float8 __attribute__((vector_size(32)));
 /// The baseline build's tiles; the AVX variant runs Float8 tiles.
 using TileLanes = Float4;
-/// MatmulTransposeB's dot products keep four lanes in every variant; the
-/// AVX variant packs two of them into one Float8.
+/// MatmulTransposeB's dot products run four lanes in every variant.
 using DotLanes = Float4;
-constexpr size_t kDotLanes = 4;
 /// `a` is a register or a float; a float is broadcast to every lane (which
 /// compiles to one broadcast, where a brace-initialised splat does not).
 template <typename V, typename A>
 CROWDRL_KERNEL_INLINE void MulAdd(V* acc, const A& a, const V& b) {
   *acc = *acc + a * b;
 }
-/// Loads a[d][i .. i+4) into the d-th four lanes of `v`, for each dot
-/// product the register carries.
-CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
-                                        Float4* v) {
-  LoadLanes(a[0] + i, v);
-}
-/// Loads b[0 .. 4) into every four lanes of `v`.
-CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, Float4* v) {
-  LoadLanes(b, v);
-}
-/// The fixed four-lane combine of the `dot`-th blocked dot product in `v`.
-template <typename V>
-CROWDRL_KERNEL_INLINE float SumDotLanes(const V& v, size_t dot) {
-  const size_t l = dot * kDotLanes;
-  return (v[l] + v[l + 1]) + (v[l + 2] + v[l + 3]);
-}
-#ifdef CROWDRL_HAVE_SHUFFLEVECTOR
-/// Within each four lanes: [x0 + x1, x2 + x3, y0 + y1, y2 + y3].
-CROWDRL_KERNEL_INLINE void PairSums(const Float4& x, const Float4& y,
-                                    Float4* out) {
-  *out = __builtin_shufflevector(x, y, 0, 2, 4, 6) +
-         __builtin_shufflevector(x, y, 1, 3, 5, 7);
-}
-#endif
-#ifdef CROWDRL_DISPATCH_AVX
-CROWDRL_KERNEL_INLINE void LoadDotLanes(const float* const* a, size_t i,
-                                        Float8* v) {
-  Float4 lo, hi;
-  LoadLanes(a[0] + i, &lo);
-  LoadLanes(a[1] + i, &hi);
-  *v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
-}
-CROWDRL_KERNEL_INLINE void LoadSharedDotLanes(const float* b, Float8* v) {
-  Float4 x;
-  LoadLanes(b, &x);
-  *v = __builtin_shufflevector(x, x, 0, 1, 2, 3, 0, 1, 2, 3);
-}
-CROWDRL_KERNEL_INLINE void PairSums(const Float8& x, const Float8& y,
-                                    Float8* out) {
-  *out = __builtin_shufflevector(x, y, 0, 2, 8, 10, 4, 6, 12, 14) +
-         __builtin_shufflevector(x, y, 1, 3, 9, 11, 5, 7, 13, 15);
-}
-#endif
-/// SumDotLanes of four registers of dot products: sum[d * 4 + q] is dot d
-/// of acc[q]. With vector shuffles, every dot's lanes are combined in
-/// parallel by the same additions.
-template <typename V>
-CROWDRL_KERNEL_INLINE void SumFourDots(const V* acc, float* sum) {
-#ifdef CROWDRL_HAVE_SHUFFLEVECTOR
-  V p, q, r;
-  PairSums(acc[0], acc[1], &p);
-  PairSums(acc[2], acc[3], &q);
-  PairSums(p, q, &r);
-  StoreLanes(sum, r);
-#else
-  for (size_t d = 0; d < kLanesOf<V> / kDotLanes; ++d) {
-    for (size_t q = 0; q < 4; ++q) sum[d * 4 + q] = SumDotLanes(acc[q], d);
-  }
-#endif
+/// The fixed four-lane combine of a blocked dot product.
+CROWDRL_KERNEL_INLINE float SumDotLanes(const Float4& v) {
+  return (v[0] + v[1]) + (v[2] + v[3]);
 }
 #endif
 
@@ -278,84 +200,54 @@ CROWDRL_KERNEL_INLINE void TiledProduct(const Matrix& a, const Matrix& b,
   for (; i < m; ++i) ProductRowBlock<V, 1, kTransA>(a, b, c, i, n, k);
 }
 
-/// The dot products a[d]·b[q] for every q < Q and every d < kDots, where
-/// kDots = kLanesOf<V> / kDotLanes is the number of dots a register
-/// carries side by side (two A rows per Float8, one otherwise). Each has a
-/// reassociated reduction: kDotLanes independent partial sums so the k
-/// loop vectorizes, combined by SumDotLanes, then a sequential tail.
-/// Sharing loads across outputs, or a register between dots, changes no
-/// output's operation sequence, so every Q and register width give the
-/// same bits. (A float reduction cannot vectorize in order, so this is
-/// bounded-epsilon against the sequential Dot.)
-template <typename V, size_t Q>
-CROWDRL_KERNEL_INLINE void DotBlocked(const float* const* a,
-                                      const float* const* b, size_t n,
-                                      float* const* out) {
-  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
-  V acc[Q];
-  for (size_t q = 0; q < Q; ++q) acc[q] = V{};
+/// Q dot products a·b[q] at once, each with a reassociated reduction:
+/// DotLanes-wide independent partial sums so the k loop vectorizes,
+/// combined by SumDotLanes, then a sequential tail. Sharing the loads of
+/// `a` across Q outputs changes no output's operation sequence, so Q = 4
+/// and Q = 1 give the same bits, and so do the baseline and AVX copies.
+/// (A float reduction cannot vectorize in order, so this is bounded-epsilon
+/// against the sequential Dot.)
+template <size_t Q>
+CROWDRL_KERNEL_INLINE void DotBlocked(const float* a, const float* const* b,
+                                      size_t n, float* out) {
+  constexpr size_t kLanes = sizeof(DotLanes) / sizeof(float);
+  DotLanes acc[Q];
+  for (size_t q = 0; q < Q; ++q) acc[q] = DotLanes{};
   size_t i = 0;
-  for (; i + kDotLanes <= n; i += kDotLanes) {
-    V va;
-    LoadDotLanes(a, i, &va);
+  for (; i + kLanes <= n; i += kLanes) {
+    DotLanes va;
+    LoadLanes(a + i, &va);
     for (size_t q = 0; q < Q; ++q) {
-      V vb;
-      LoadSharedDotLanes(b[q] + i, &vb);
+      DotLanes vb;
+      LoadLanes(b[q] + i, &vb);
       MulAdd(&acc[q], va, vb);
     }
   }
-  float sum[kDots][Q];
-  if constexpr (Q == 4) {
-    SumFourDots(acc, &sum[0][0]);
-  } else {
-    for (size_t d = 0; d < kDots; ++d) {
-      for (size_t q = 0; q < Q; ++q) sum[d][q] = SumDotLanes(acc[q], d);
-    }
-  }
-  for (size_t t = i; t < n; ++t) {
-    for (size_t d = 0; d < kDots; ++d) {
-      for (size_t q = 0; q < Q; ++q) sum[d][q] += a[d][t] * b[q][t];
-    }
-  }
-  for (size_t d = 0; d < kDots; ++d) {
-    for (size_t q = 0; q < Q; ++q) out[d][q] = sum[d][q];
+  for (size_t q = 0; q < Q; ++q) {
+    float sum = SumDotLanes(acc[q]);
+    for (size_t t = i; t < n; ++t) sum += a[t] * b[q][t];
+    out[q] = sum;
   }
 }
 
-/// C(i0 + d, j + q) = A(i0 + d)·B(j + q) for d < kDots, q < Q.
-template <typename V, size_t Q>
-CROWDRL_KERNEL_INLINE void DotTile(const Matrix& a, const Matrix& b,
-                                   Matrix* c, size_t i0, size_t j) {
-  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
-  const float* arows[kDots];
-  float* out[kDots];
-  for (size_t d = 0; d < kDots; ++d) {
-    arows[d] = a.row_data(i0 + d);
-    out[d] = c->row_data(i0 + d) + j;
-  }
-  const float* brows[Q];
-  for (size_t q = 0; q < Q; ++q) brows[q] = b.row_data(j + q);
-  DotBlocked<V, Q>(arows, brows, a.cols(), out);
-}
-
-/// C = A·Bᵀ: blocks of as many A rows as a V register carries dots (then
-/// single rows) by four B rows (then single B rows). `*c` must already
+/// C = A·Bᵀ, four B rows at a time, then single B rows. `*c` must already
 /// have the product's shape.
-template <typename V>
 CROWDRL_KERNEL_INLINE void DotProducts(const Matrix& a, const Matrix& b,
                                        Matrix* c) {
-  constexpr size_t kDots = kLanesOf<V> / kDotLanes;
-  const size_t m = a.rows(), n = b.rows();
-  size_t i = 0;
-  for (; i + kDots <= m; i += kDots) {
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = a.row_data(i);
+    float* crow = c->row_data(i);
     size_t j = 0;
-    for (; j + 4 <= n; j += 4) DotTile<V, 4>(a, b, c, i, j);
-    for (; j < n; ++j) DotTile<V, 1>(a, b, c, i, j);
-  }
-  for (; i < m; ++i) {
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) DotTile<DotLanes, 4>(a, b, c, i, j);
-    for (; j < n; ++j) DotTile<DotLanes, 1>(a, b, c, i, j);
+    for (; j + 4 <= n; j += 4) {
+      const float* brows[4] = {b.row_data(j), b.row_data(j + 1),
+                               b.row_data(j + 2), b.row_data(j + 3)};
+      DotBlocked<4>(arow, brows, k, crow + j);
+    }
+    for (; j < n; ++j) {
+      const float* brow = b.row_data(j);
+      DotBlocked<1>(arow, &brow, k, crow + j);
+    }
   }
 }
 
@@ -375,7 +267,7 @@ void BaselineProductTA(const Matrix& a, const Matrix& b, Matrix* c) {
   TiledProduct<TileLanes, /*kTransA=*/true>(a, b, c);
 }
 void BaselineProductTB(const Matrix& a, const Matrix& b, Matrix* c) {
-  DotProducts<DotLanes>(a, b, c);
+  DotProducts(a, b, c);
 }
 constexpr MatmulKernels kBaselineKernels = {
     BaselineProduct, BaselineProductTA, BaselineProductTB};
@@ -383,7 +275,7 @@ constexpr MatmulKernels kBaselineKernels = {
 #ifdef CROWDRL_DISPATCH_AVX
 // The `avx` target enables 256-bit registers but not FMA, so every
 // `acc + a·b` still rounds twice and the results stay bit-identical to the
-// baseline's.
+// baseline's. The dot products keep their four lanes (VEX-encoded here).
 __attribute__((target("avx"))) void AvxProduct(const Matrix& a,
                                                const Matrix& b, Matrix* c) {
   TiledProduct<Float8, /*kTransA=*/false>(a, b, c);
@@ -394,19 +286,64 @@ __attribute__((target("avx"))) void AvxProductTA(const Matrix& a,
 }
 __attribute__((target("avx"))) void AvxProductTB(const Matrix& a,
                                                  const Matrix& b, Matrix* c) {
-  DotProducts<Float8>(a, b, c);
+  DotProducts(a, b, c);
 }
 constexpr MatmulKernels kAvxKernels = {AvxProduct, AvxProductTA,
                                        AvxProductTB};
 #endif
 
-const MatmulKernels& KernelsOf(KernelVariant v) {
-  CROWDRL_CHECK_MSG(KernelVariantAvailable(v),
-                    "kernel variant not available on this build or CPU");
+const MatmulKernels& KernelsOf([[maybe_unused]] KernelVariant v) {
 #ifdef CROWDRL_DISPATCH_AVX
   if (v == KernelVariant::kAvx) return kAvxKernels;
 #endif
   return kBaselineKernels;
+}
+
+/// The copy every public matmul runs, resolved once, at first use.
+const MatmulKernels& SelectedKernels() {
+  static const MatmulKernels& selected = KernelsOf(SelectedKernelVariant());
+  return selected;
+}
+
+/// The copy a variant:: entry point names; it must be runnable here.
+const MatmulKernels& CheckedKernelsOf(KernelVariant v) {
+  CROWDRL_CHECK_MSG(KernelVariantAvailable(v),
+                    "kernel variant not available on this build or CPU");
+  return KernelsOf(v);
+}
+
+void ProductInto(const MatmulKernels& kernels, const Matrix& a,
+                 const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.cols());
+  kernels.product(a, b, c);
+}
+
+void ProductTransposeBInto(const MatmulKernels& kernels, const Matrix& a,
+                           const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.rows());
+  kernels.product_tb(a, b, c);
+}
+
+void ProductTransposeAInto(const MatmulKernels& kernels, const Matrix& a,
+                           const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.cols(), b.cols());
+  c->SetZero();
+  kernels.product_ta(a, b, c);
+}
+
+void ProductTransposeAAccumulate(const MatmulKernels& kernels,
+                                 const Matrix& a, const Matrix& b,
+                                 Matrix* c) {
+  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
+  CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
+  CROWDRL_CHECK(c != &a && c != &b);
+  kernels.product_ta(a, b, c);
 }
 
 }  // namespace
@@ -422,10 +359,8 @@ bool KernelVariantAvailable(KernelVariant v) {
 }
 
 KernelVariant SelectedKernelVariant() {
-  static const KernelVariant selected =
-      KernelVariantAvailable(KernelVariant::kAvx) ? KernelVariant::kAvx
-                                                  : KernelVariant::kBaseline;
-  return selected;
+  return KernelVariantAvailable(KernelVariant::kAvx) ? KernelVariant::kAvx
+                                                     : KernelVariant::kBaseline;
 }
 
 const char* KernelVariantName(KernelVariant v) {
@@ -440,7 +375,7 @@ const char* KernelVariantName(KernelVariant v) {
 }
 
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  variant::MatmulInto(SelectedKernelVariant(), a, b, c);
+  ProductInto(SelectedKernels(), a, b, c);
 }
 
 Matrix Matmul(const Matrix& a, const Matrix& b) {
@@ -450,7 +385,7 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  variant::MatmulTransposeBInto(SelectedKernelVariant(), a, b, c);
+  ProductTransposeBInto(SelectedKernels(), a, b, c);
 }
 
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
@@ -460,7 +395,7 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  variant::MatmulTransposeAInto(SelectedKernelVariant(), a, b, c);
+  ProductTransposeAInto(SelectedKernels(), a, b, c);
 }
 
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
@@ -470,42 +405,29 @@ Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
-  variant::MatmulTransposeAAccumulate(SelectedKernelVariant(), a, b, c);
+  ProductTransposeAAccumulate(SelectedKernels(), a, b, c);
 }
 
 namespace variant {
 
 void MatmulInto(KernelVariant v, const Matrix& a, const Matrix& b,
                 Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  c->Resize(a.rows(), b.cols());
-  KernelsOf(v).product(a, b, c);
+  ProductInto(CheckedKernelsOf(v), a, b, c);
 }
 
 void MatmulTransposeBInto(KernelVariant v, const Matrix& a, const Matrix& b,
                           Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  c->Resize(a.rows(), b.rows());
-  KernelsOf(v).product_tb(a, b, c);
+  ProductTransposeBInto(CheckedKernelsOf(v), a, b, c);
 }
 
 void MatmulTransposeAInto(KernelVariant v, const Matrix& a, const Matrix& b,
                           Matrix* c) {
-  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  c->Resize(a.cols(), b.cols());
-  c->SetZero();
-  KernelsOf(v).product_ta(a, b, c);
+  ProductTransposeAInto(CheckedKernelsOf(v), a, b, c);
 }
 
 void MatmulTransposeAAccumulate(KernelVariant v, const Matrix& a,
                                 const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
-  CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
-  CROWDRL_CHECK(c != &a && c != &b);
-  KernelsOf(v).product_ta(a, b, c);
+  ProductTransposeAAccumulate(CheckedKernelsOf(v), a, b, c);
 }
 
 }  // namespace variant

@@ -32,11 +32,11 @@ namespace crowdrl {
 ///    away (a float reduction cannot vectorize in order).
 ///    On x86 the portable build compiles these kernels twice: for the
 ///    build's baseline (SSE, 4-float registers) and for AVX (8-float
-///    registers, which carry the four lanes of two A rows' dots side by
-///    side in `MatmulTransposeB`). The AVX copy runs wherever the CPU has
-///    AVX, chosen once at first use (SelectedKernelVariant); no flag or
-///    setting picks it. The `avx` target has no FMA, so each `acc + a·b`
-///    still rounds twice and both copies give the same bits.
+///    tile registers; `MatmulTransposeB` keeps its four-lane dots). The
+///    AVX copy runs wherever the CPU has AVX, chosen once at first use
+///    (SelectedKernelVariant); no flag or setting picks it. The `avx`
+///    target has no FMA, so each `acc + a·b` still rounds twice and both
+///    copies give the same bits.
 ///  * **bounded-epsilon tier** — every kernel compiled under
 ///    `CROWDRL_ENABLE_AVX2` uses 8-wide FMA (per-element FMA order inside
 ///    the tiles is kept, but an FMA rounds once where the scalar loop
@@ -81,8 +81,8 @@ enum class KernelVariant {
 
 /// True when `v` is compiled into this build and this CPU can run it.
 bool KernelVariantAvailable(KernelVariant v);
-/// The variant the matmul kernels run, chosen once, at first use: kAvx
-/// when available, else kBaseline.
+/// The variant the matmul kernels run: kAvx when available, else
+/// kBaseline. The kernels resolve it once, at their first call.
 KernelVariant SelectedKernelVariant();
 /// "avx", "sse" (portable x86 baseline), "avx2-fma" (the
 /// CROWDRL_ENABLE_AVX2 build) or "generic" (other targets).

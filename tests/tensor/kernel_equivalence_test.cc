@@ -301,6 +301,7 @@ TEST(KernelEquivalenceTest, SelectedVariantIsAvxWhereTheCpuHasIt) {
     return;
   }
 #if defined(__x86_64__) || defined(__i386__)
+  // Every portable x86 build, whatever its compiler, carries the AVX copy.
   EXPECT_EQ(KernelVariantAvailable(KernelVariant::kAvx), CpuHasAvx());
   EXPECT_STREQ(KernelVariantName(selected), CpuHasAvx() ? "avx" : "sse");
 #else
