@@ -8,13 +8,9 @@
 #include "core/dqn_agent.h"
 #include "nn/set_qnetwork.h"
 #include "rl/arrival_model.h"
-#include "rl/packed_transition_store.h"
 #include "rl/prioritized_replay.h"
-#include "rl/replay_pipeline.h"
 #include "serve/snapshot.h"
 #include "tensor/ops.h"
-
-#include <thread>
 
 namespace crowdrl {
 namespace {
@@ -260,138 +256,13 @@ void BM_PrioritizedReplaySample(benchmark::State& state) {
     replay.Add(std::move(t));
     replay.UpdatePriority(i % 1000, rng.Uniform());
   }
+  PrioritizedReplay::Batch batch;
   for (auto _ : state) {
-    auto batch = replay.SampleBatch(64, &rng);
-    benchmark::DoNotOptimize(batch.data());
+    replay.SampleBatchInto(64, &rng, &batch);
+    benchmark::DoNotOptimize(batch.weights.data());
   }
 }
 BENCHMARK(BM_PrioritizedReplaySample);
-
-Transition SmallReplayTransition(size_t pool, Rng* rng) {
-  Transition t;
-  t.state = Matrix::Uniform(pool, 8, rng);
-  t.valid_n = pool;
-  t.action_row = static_cast<int>(rng->UniformInt(pool));
-  t.reward = static_cast<float>(rng->Uniform());
-  return t;
-}
-
-// A/B pair: what one learner SampleBatch costs at production buffer sizes
-// (arg = buffer capacity). The Sync reference pays the full stratified
-// sum-tree walk + IS-weight math inline on the caller's thread; the
-// pipelined variant dequeues a batch the background prefetcher already
-// built, so the timed region is the O(1) shell swap plus the
-// stale-priority weight refresh. check_bench.sh requires the pipelined
-// path to stay within the noise margin of (in practice: well under) the
-// inline walk.
-void BM_ReplaySampleBatchSync(benchmark::State& state) {
-  const size_t capacity = static_cast<size_t>(state.range(0));
-  PrioritizedReplayConfig cfg;
-  cfg.capacity = capacity;
-  ReplayPipelineConfig pcfg;  // defaults: synchronous, boxed
-  ReplayPipeline pipe(cfg, 64, pcfg);
-  Rng rng(7);
-  std::vector<size_t> slot(1);
-  std::vector<double> td(1);
-  for (size_t i = 0; i < capacity; ++i) {
-    pipe.Add(SmallReplayTransition(4, &rng));
-    slot[0] = i;
-    td[0] = rng.Uniform();
-    pipe.UpdatePriorities(slot, td);
-  }
-  ReplayPipeline::Batch batch;
-  for (auto _ : state) {
-    pipe.SampleBatchInto(&batch, &rng);
-    benchmark::DoNotOptimize(batch.weight(0));
-  }
-}
-// Same fixed iteration count as the pipelined twin so the two report under
-// identical /arg/iterations name suffixes — check_bench.sh pairs by suffix.
-BENCHMARK(BM_ReplaySampleBatchSync)
-    ->Arg(100000)
-    ->Arg(250000)
-    ->Iterations(20000);
-
-// Fixed iteration count: every iteration consumes one prefetched batch, so
-// the (untimed) wait for the producer bounds wall-clock throughput; letting
-// the library fill its window against a ~µs cpu_time would run for minutes.
-void BM_ReplaySampleBatch(benchmark::State& state) {
-  const size_t capacity = static_cast<size_t>(state.range(0));
-  PrioritizedReplayConfig cfg;
-  cfg.capacity = capacity;
-  ReplayPipelineConfig pcfg;
-  pcfg.pipelined = true;
-  pcfg.prefetch_batches = 4;
-  ReplayPipeline pipe(cfg, 64, pcfg);
-  Rng rng(7);
-  std::vector<size_t> slot(1);
-  std::vector<double> td(1);
-  for (size_t i = 0; i < capacity; ++i) {
-    pipe.Add(SmallReplayTransition(4, &rng));
-    slot[0] = i;
-    td[0] = rng.Uniform();
-    pipe.UpdatePriorities(slot, td);
-  }
-  pipe.Flush();
-  ReplayPipeline::Batch batch;
-  for (auto _ : state) {
-    state.PauseTiming();  // wait for the prefetcher, time only the dequeue
-    while (pipe.prefetched_batches() == 0) std::this_thread::yield();
-    state.ResumeTiming();
-    pipe.SampleBatchInto(&batch, &rng);
-    benchmark::DoNotOptimize(batch.weight(0));
-  }
-}
-BENCHMARK(BM_ReplaySampleBatch)->Arg(100000)->Arg(250000)->Iterations(20000);
-
-Transition DecodeBenchTransition(size_t branches, Rng* rng) {
-  Transition t = SmallReplayTransition(6, rng);
-  t.target = rng->Uniform();
-  t.future.branches.resize(branches);
-  for (auto& b : t.future.branches) {
-    b.base = Matrix::Uniform(5, 8, rng);
-    b.segments = {{5, 0.4f}, {3, 0.3f}, {1, 0.2f}};
-  }
-  return t;
-}
-
-// A/B pair: materializing one stored transition for the learner
-// (arg = future-state branches). Boxed reference copy-assigns a
-// heap-of-vectors Transition; the packed kernel decodes the same payload
-// out of the contiguous arenas. Both reuse the destination's capacity, so
-// the steady state compares pure copy bandwidth + bookkeeping.
-void BM_ReplayDecodeBoxed(benchmark::State& state) {
-  const size_t branches = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  std::vector<Transition> src;
-  src.reserve(256);
-  for (int i = 0; i < 256; ++i) src.push_back(DecodeBenchTransition(branches, &rng));
-  Transition dst;
-  size_t i = 0;
-  for (auto _ : state) {
-    dst = src[i & 255];
-    ++i;
-    benchmark::DoNotOptimize(dst.state.data());
-  }
-}
-BENCHMARK(BM_ReplayDecodeBoxed)->Arg(0)->Arg(4);
-
-void BM_ReplayDecodePacked(benchmark::State& state) {
-  const size_t branches = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  PackedTransitionStore store(256);
-  for (size_t i = 0; i < 256; ++i) {
-    store.Put(i, DecodeBenchTransition(branches, &rng));
-  }
-  Transition dst;
-  size_t i = 0;
-  for (auto _ : state) {
-    store.DecodeInto(i & 255, &dst);
-    ++i;
-    benchmark::DoNotOptimize(dst.state.data());
-  }
-}
-BENCHMARK(BM_ReplayDecodePacked)->Arg(0)->Arg(4);
 
 void BM_ArrivalModelRecord(benchmark::State& state) {
   ArrivalModel model;

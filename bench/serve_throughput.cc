@@ -20,7 +20,9 @@
 // the same daemon + clients but upgrades every connection onto a
 // per-connection shared-memory ring pair (zero per-frame syscalls), so the
 // uds/shm pair isolates exactly the syscall + frame-copy cost of the
-// socket path.
+// socket path. Every point also reports the rank round trip as the actor
+// sees it (client_rank_*: timed around Session::Rank / ActorClient::Rank),
+// which, unlike the shard's rank_latency_*, includes the transport.
 #include <unistd.h>
 
 #include <atomic>
@@ -46,6 +48,7 @@ struct SweepPoint {
   int64_t arrivals = 0;
   double wall_s = 0;
   ShardedServiceStats stats;
+  PercentileAccumulator client_rank_ms;  ///< Rank round trip at the actor
 };
 
 /// Every tunable of one sweep point, read from flags up front so the
@@ -53,7 +56,6 @@ struct SweepPoint {
 struct PointConfig {
   size_t hidden = 32;
   int learn_every = 16;
-  ReplayPipelineConfig replay_pipeline;
   ServiceConfig service;
 
   static PointConfig FromFlags(const CliFlags& flags) {
@@ -62,16 +64,6 @@ struct PointConfig {
         "hidden", 32, "Q-network hidden width (serving-lean default)"));
     cfg.learn_every = static_cast<int>(flags.GetInt(
         "learn_every", 16, "learner step cadence in stored transitions"));
-    cfg.replay_pipeline.pipelined = flags.GetInt(
-        "replay_pipeline", 0,
-        "pipelined replay: background add/sample thread + prefetched "
-        "batches (non-deterministic)") != 0;
-    cfg.replay_pipeline.packed = flags.GetInt(
-        "replay_packed", 0,
-        "packed replay storage: contiguous arena instead of boxed "
-        "transitions") != 0;
-    cfg.replay_pipeline.prefetch_batches = static_cast<size_t>(flags.GetInt(
-        "prefetch", 2, "ready batches the replay prefetcher keeps ahead"));
     cfg.service.max_batch = static_cast<size_t>(flags.GetInt(
         "max_batch", 16, "micro-batcher: max coalesced rank requests"));
     cfg.service.batch_window_us = flags.GetInt(
@@ -101,7 +93,6 @@ FrameworkConfig ServingFrameworkConfig(const PointConfig& point,
     dqn->batch_size = 32;
     dqn->learn_every = point.learn_every;
     dqn->replay.capacity = 1000;
-    dqn->replay_pipeline = point.replay_pipeline;
   }
   cfg.predictor.max_segments = 2;
   cfg.max_failed_stored = 0;  // one transition per MDP per feedback
@@ -131,11 +122,14 @@ SweepPoint RunPoint(const PointConfig& point, const ServeWorkload& workload,
 
   std::atomic<int64_t> arrival_counter{0};
   std::atomic<int64_t> next_ticket{0};
+  // One accumulator per actor thread, merged after the join.
+  std::vector<PercentileAccumulator> client_rank_ms(actors);
   Stopwatch wall;
   std::vector<std::thread> threads;
   for (int a = 0; a < actors; ++a) {
     threads.emplace_back([&, a] {
       Rng rng(seed ^ (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(a + 1)));
+      PercentileAccumulator& rank_ms = client_rank_ms[a];
       if (over_wire) {
         // The wire path: every actor is its own client connection driving
         // one rank + one feedback round trip per arrival; the daemon holds
@@ -151,8 +145,10 @@ SweepPoint RunPoint(const PointConfig& point, const ServeWorkload& workload,
           const Observation obs =
               workload.MakeObservation(arrival_counter.fetch_add(1), &rng);
           net::DecodedRankResponse rank;
+          const Stopwatch rank_watch;
           CROWDRL_CHECK(
               client.value()->Rank(obs, /*record_arrival=*/true, &rank).ok());
+          rank_ms.Add(rank_watch.ElapsedMillis());
           net::FeedbackResponseHead fb;
           CROWDRL_CHECK(client.value()
                             ->Feedback(obs.arrival_index, obs.worker,
@@ -171,7 +167,9 @@ SweepPoint RunPoint(const PointConfig& point, const ServeWorkload& workload,
             workload.MakeObservation(arrival_counter.fetch_add(1), &rng);
         service.RecordArrival(obs);
         ShardedArrangementService::Ticket ticket;
+        const Stopwatch rank_watch;
         const std::vector<int> ranking = session->Rank(obs, &ticket);
+        rank_ms.Add(rank_watch.ElapsedMillis());
         session->Feedback(obs, ticket, ranking,
                           workload.SimulateFeedback(obs, ranking, &rng));
       }
@@ -188,6 +186,9 @@ SweepPoint RunPoint(const PointConfig& point, const ServeWorkload& workload,
   result.arrivals = arrivals;
   result.wall_s = wall.ElapsedSeconds();
   result.stats = service.stats();
+  for (const PercentileAccumulator& acc : client_rank_ms) {
+    result.client_rank_ms.Merge(acc);
+  }
   if (daemon != nullptr) {
     // The daemon's view of the aggregate adds the live transport counters
     // (per-shard rows keep their zeros: shards never touch a socket).
@@ -314,14 +315,13 @@ int Main(int argc, char** argv) {
   bench::BenchSetup setup;
   setup.out_dir = out_dir;
   Table t({"actors", "shards", "arrivals", "wall_s", "qps", "p50_ms",
-           "p95_ms", "p99_ms", "max_ms", "mean_batch", "shed",
-           "events_learned"});
+           "p95_ms", "p99_ms", "max_ms", "client_p50_ms", "client_p99_ms",
+           "mean_batch", "shed", "events_learned"});
   JsonWriter json;
   json.BeginObject();
-  // v5: shm transport mode + ring geometry at top level, per-stat ring
-  // depth/stall counters (transport_shm_connections, ring capacity, wait
-  // episodes and wait syscalls; all zero for inproc and uds points).
-  json.KV("schema", "crowdrl.serve_throughput.v5");
+  // v6: per-point client_rank_p50_ms/p99_ms (the rank round trip timed at
+  // the actor); the replay-mode keys are gone (one replay buffer).
+  json.KV("schema", "crowdrl.serve_throughput.v6");
   json.KV("transport", transport);
   json.KV("ring_capacity_bytes",
           transport == "shm" ? static_cast<int64_t>(wire_opts.ring_capacity)
@@ -330,10 +330,6 @@ int Main(int argc, char** argv) {
   json.KV("pool_size", static_cast<int64_t>(wl_cfg.pool_size));
   json.KV("seed", seed);
   json.KV("enqueue_budget_us", point.service.enqueue_budget_us);
-  json.KV("replay_pipelined",
-          static_cast<int64_t>(point.replay_pipeline.pipelined ? 1 : 0));
-  json.KV("replay_packed",
-          static_cast<int64_t>(point.replay_pipeline.packed ? 1 : 0));
   json.Key("points").BeginArray();
 
   for (int shards : shard_counts) {
@@ -347,12 +343,15 @@ int Main(int argc, char** argv) {
       const double qps =
           p.wall_s > 0 ? static_cast<double>(p.arrivals) / p.wall_s : 0.0;
       const ServiceStats& agg = p.stats.aggregate;
+      const std::vector<double> client =
+          p.client_rank_ms.Percentiles({50, 99});
       t.AddRow({std::to_string(p.actors), std::to_string(p.shards),
                 std::to_string(p.arrivals), Table::Num(p.wall_s, 2),
                 Table::Num(qps, 1), Table::Num(agg.rank_latency_p50_ms, 3),
                 Table::Num(agg.rank_latency_p95_ms, 3),
                 Table::Num(agg.rank_latency_p99_ms, 3),
                 Table::Num(agg.rank_latency_max_ms, 3),
+                Table::Num(client[0], 3), Table::Num(client[1], 3),
                 Table::Num(agg.mean_batch_size, 2),
                 std::to_string(agg.shed),
                 std::to_string(agg.events_processed)});
@@ -362,6 +361,8 @@ int Main(int argc, char** argv) {
       json.KV("arrivals", p.arrivals);
       json.KV("wall_s", p.wall_s);
       json.KV("qps", qps);
+      json.KV("client_rank_p50_ms", client[0]);
+      json.KV("client_rank_p99_ms", client[1]);
       json.Key("aggregate").BeginObject();
       EmitStats(&json, agg, p.wall_s);
       json.EndObject();

@@ -13,7 +13,7 @@
 
 #include "common/cli.h"
 #include "common/stopwatch.h"
-#include "serve/service.h"
+#include "serve/shard.h"
 #include "serve/workload.h"
 
 using namespace crowdrl;
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   // 3. The service: micro-batched inference + actor/learner split.
   ServiceConfig service_cfg;
   service_cfg.publish_every_events = publish_every;
-  ArrangementService service(&framework, service_cfg);
+  ServiceShard service(&framework, service_cfg);
   service.Start();
 
   std::printf("serving %lld arrivals across %d actor sessions...\n",
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
         if (i >= arrivals) break;
         const Observation obs = workload.MakeObservation(i, &rng);
         service.RecordArrival(obs);
-        ArrangementService::Ticket ticket;
+        ServiceShard::Ticket ticket;
         const std::vector<int> ranking = session->Rank(obs, &ticket);
         const Feedback fb = workload.SimulateFeedback(obs, ranking, &rng);
         if (fb.completed_pos >= 0) completions.fetch_add(1);

@@ -80,68 +80,12 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Keep-on-failure variant of TryPushFor for producers that own pooled
-  /// resources: `*item` is moved from only when kOk is returned, so a
-  /// timed-out (or shutdown-raced) push leaves the item with the caller
-  /// instead of destroying it. The replay pipeline's prefetcher uses this
-  /// to hand off batch shells without ever leaking one from its pool.
-  PushResult TryPushFor(T* item, int64_t budget_us) {
-    {
-      MutexLock lk(mu_);
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(budget_us < 0 ? 0 : budget_us);
-      while (items_.size() >= capacity_ && !closed_) {
-        if (!not_full_.WaitUntil(mu_, lk, deadline)) break;  // budget spent
-      }
-      if (closed_) return PushResult::kClosed;
-      if (items_.size() >= capacity_) return PushResult::kTimeout;
-      items_.push_back(std::move(*item));
-    }
-    not_empty_.NotifyOne();
-    return PushResult::kOk;
-  }
-
   /// Blocks while the queue is empty. Returns nullopt iff the queue was
   /// closed and fully drained.
   std::optional<T> Pop() {
     MutexLock lk(mu_);
     while (items_.empty() && !closed_) {
       not_empty_.Wait(mu_, lk);
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lk.Unlock();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  /// Non-blocking pop: returns the front item if one is immediately
-  /// available, nullopt otherwise (empty or closed-and-drained).
-  std::optional<T> TryPop() {
-    MutexLock lk(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lk.Unlock();
-    not_full_.NotifyOne();
-    return item;
-  }
-
-  /// Deadline-aware pop: waits at most `budget_us` microseconds for an
-  /// item (0 = try once, no wait). Returns nullopt on timeout or when the
-  /// queue is closed and drained — callers that need to distinguish the
-  /// two check closed(). The replay pipeline's prefetch thread idles in
-  /// this instead of a blocking Pop so it can interleave op-queue drains
-  /// with handoff pushes without ever parking on a stale condition.
-  std::optional<T> PopFor(int64_t budget_us) {
-    MutexLock lk(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(budget_us < 0 ? 0 : budget_us);
-    while (items_.empty() && !closed_) {
-      if (!not_empty_.WaitUntil(mu_, lk, deadline)) break;  // budget spent
     }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());

@@ -22,7 +22,7 @@ DqnAgent::DqnAgent(const DqnAgentConfig& config)
       online_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       target_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       optimizer_(online_.Params(), config.opt),
-      replay_(config.replay, config.batch_size, config.replay_pipeline) {
+      replay_(config.replay) {
   // Target starts as an exact copy of the online network.
   target_.CopyFrom(online_);
 }
@@ -115,10 +115,8 @@ bool DqnAgent::MaybeLearn() {
 
 bool DqnAgent::LearnStep() {
   const size_t batch = config_.batch_size;
-  // Synchronous mode samples inline (bit-exact with the pre-pipeline
-  // PrioritizedReplay path); pipelined mode dequeues a prefetched batch.
-  // False = not warm yet (or pipeline stopped): no gradient step.
-  if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
+  if (batch == 0 || replay_.size() < batch) return false;  // not warm yet
+  replay_.SampleBatchInto(batch, &rng_, &batch_);
 
   ThreadPool& pool = ThreadPool::Global();
   const size_t chunks = std::max<size_t>(
@@ -141,8 +139,8 @@ bool DqnAgent::LearnStep() {
     LearnerWorkspace& ws = LearnerWorkspace::ThreadLocal();
     ws.grad_q.Resize(1, 1);
     for (size_t i = lo; i < hi; ++i) {
-      const Transition& tr = batch_.item(i);
-      const double weight = batch_.weight(i);
+      const Transition& tr = *batch_.items[i];
+      const double weight = batch_.weights[i];
       const double y = config_.recompute_targets_on_replay
                            ? ComputeTarget(tr.reward, tr.future)
                            : tr.target;
@@ -164,7 +162,7 @@ bool DqnAgent::LearnStep() {
   for (size_t c = 1; c < chunks; ++c) chunk_grads_[0].Add(chunk_grads_[c]);
   optimizer_.Step(chunk_grads_[0].g, 1.0 / static_cast<double>(batch));
 
-  replay_.UpdatePriorities(batch_.slots(), td_);
+  replay_.UpdatePriorities(batch_.slots, td_);
   double loss = 0;
   for (size_t i = 0; i < batch; ++i) loss += weighted_sq_[i];
   last_loss_ = loss / static_cast<double>(batch);

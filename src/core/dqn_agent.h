@@ -5,7 +5,7 @@
 
 #include "nn/optimizer.h"
 #include "nn/set_qnetwork.h"
-#include "rl/replay_pipeline.h"
+#include "rl/prioritized_replay.h"
 #include "rl/transition.h"
 
 namespace crowdrl {
@@ -35,10 +35,6 @@ struct DqnAgentConfig {
   SetQNetworkConfig net;
   OptimizerConfig opt;
   PrioritizedReplayConfig replay;
-  /// Replay execution mode: synchronous/boxed by default (bit-exact with
-  /// the paper-scale serial path); flip `pipelined`/`packed` for the
-  /// background-prefetch and arena-storage production modes.
-  ReplayPipelineConfig replay_pipeline;
   double gamma = 0.3;
   size_t batch_size = 64;
   /// Run a learner step every k-th stored transition (1 = paper's
@@ -100,8 +96,7 @@ class DqnAgent {
 
   /// Stores a transition: computes its target (unless replay-recompute is
   /// on), assigns max priority, and releases the future spec if it is no
-  /// longer needed. (In pipelined replay mode the store is asynchronous —
-  /// it reaches the buffer via the pipeline's op queue.)
+  /// longer needed.
   void Store(Transition t);
 
   /// Stores a transition whose target (or retained future spec, in
@@ -153,7 +148,6 @@ class DqnAgent {
 
   int64_t learn_steps() const { return learn_steps_; }
   int64_t stored() const { return store_count_; }
-  size_t buffer_size() const { return replay_.size(); }
   /// Mean weighted squared TD error of the last learner step.
   double last_loss() const { return last_loss_; }
 
@@ -162,18 +156,14 @@ class DqnAgent {
   size_t replay_transitions() const { return replay_.size(); }
   size_t replay_bytes() const { return replay_.ApproxBytes(); }
 
-  /// The replay subsystem (tests / checkpoint barriers).
-  ReplayPipeline& replay() { return replay_; }
-  const ReplayPipeline& replay() const { return replay_; }
-
  private:
   DqnAgentConfig config_;
   Rng rng_;
   SetQNetwork online_;
   SetQNetwork target_;
   Adam optimizer_;
-  ReplayPipeline replay_;
-  ReplayPipeline::Batch batch_;
+  PrioritizedReplay replay_;
+  PrioritizedReplay::Batch batch_;
   int64_t store_count_ = 0;
   int64_t learn_steps_ = 0;
   uint64_t online_version_ = 0;

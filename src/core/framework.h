@@ -82,14 +82,6 @@ struct TransitionBlocks {
   std::vector<Transition> requester;
   bool empty() const { return worker.empty() && requester.empty(); }
   size_t size() const { return worker.size() + requester.size(); }
-  /// Approximate payload bytes across both blocks (see
-  /// Transition::ApproxBytes) — drives byte-budget LocalBuffer flushes.
-  size_t ApproxBytes() const {
-    size_t bytes = 0;
-    for (const auto& t : worker) bytes += t.ApproxBytes();
-    for (const auto& t : requester) bytes += t.ApproxBytes();
-    return bytes;
-  }
 };
 
 /// \brief The paper's end-to-end Deep-RL task-arrangement framework —

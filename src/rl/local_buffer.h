@@ -27,38 +27,17 @@ template <typename T>
 class LocalBuffer {
  public:
   using FlushFn = std::function<bool(std::vector<T>&&)>;
-  /// Byte cost of one item, for byte-budget flushing.
-  using SizeFn = std::function<size_t(const T&)>;
 
   LocalBuffer(FlushFn sink, size_t block_size)
       : sink_(std::move(sink)), block_size_(block_size < 1 ? 1 : block_size) {
     block_.reserve(block_size_);
   }
 
-  /// Byte-budget variant: the block also flushes once its accumulated
-  /// `size_fn` bytes reach `max_block_bytes` (0 disables the byte
-  /// trigger). Large transition payloads — retained future specs, wide
-  /// task pools — stop parking in actor-local buffers while small ones
-  /// still amortize the queue hand-off over `block_size` items.
-  LocalBuffer(FlushFn sink, size_t block_size, SizeFn size_fn,
-              size_t max_block_bytes)
-      : sink_(std::move(sink)),
-        block_size_(block_size < 1 ? 1 : block_size),
-        size_fn_(std::move(size_fn)),
-        max_block_bytes_(max_block_bytes) {
-    block_.reserve(block_size_);
-  }
-
-  /// Appends one item; flushes automatically when the block is full (by
-  /// count, or by bytes when a byte budget is configured).
+  /// Appends one item; flushes automatically when the block is full.
   void Add(T item) {
-    if (size_fn_) pending_bytes_ += size_fn_(item);
     block_.push_back(std::move(item));
     ++added_;
-    if (block_.size() >= block_size_ ||
-        (max_block_bytes_ > 0 && pending_bytes_ >= max_block_bytes_)) {
-      Flush();
-    }
+    if (block_.size() >= block_size_) Flush();
   }
 
   /// Pushes the current (possibly partial) block to the sink. Returns true
@@ -68,7 +47,6 @@ class LocalBuffer {
     std::vector<T> out;
     out.swap(block_);
     block_.reserve(block_size_);
-    pending_bytes_ = 0;
     const size_t n = out.size();
     if (!sink_(std::move(out))) {
       ++dropped_blocks_;
@@ -81,9 +59,6 @@ class LocalBuffer {
   }
 
   size_t pending() const { return block_.size(); }
-  /// Accumulated bytes of the current partial block (0 without a SizeFn).
-  size_t pending_bytes() const { return pending_bytes_; }
-  size_t max_block_bytes() const { return max_block_bytes_; }
   size_t block_size() const { return block_size_; }
   int64_t added() const { return added_; }
   int64_t flushed_blocks() const { return flushed_blocks_; }
@@ -94,9 +69,6 @@ class LocalBuffer {
  private:
   FlushFn sink_;
   size_t block_size_;
-  SizeFn size_fn_;
-  size_t max_block_bytes_ = 0;
-  size_t pending_bytes_ = 0;
   std::vector<T> block_;
   int64_t added_ = 0;
   int64_t flushed_blocks_ = 0;

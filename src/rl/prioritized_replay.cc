@@ -6,15 +6,16 @@
 
 namespace crowdrl {
 
-ProportionalSampler::ProportionalSampler(const PrioritizedReplayConfig& config)
+PrioritizedReplay::PrioritizedReplay(const PrioritizedReplayConfig& config)
     : config_(config) {
   CROWDRL_CHECK(config.capacity > 0);
   leaves_ = 1;
   while (leaves_ < config.capacity) leaves_ <<= 1;
   tree_.assign(2 * leaves_, 0.0);
+  items_.resize(config.capacity);
 }
 
-void ProportionalSampler::SetLeaf(size_t leaf, double value) {
+void PrioritizedReplay::SetLeaf(size_t leaf, double value) {
   size_t node = leaves_ + leaf;
   tree_[node] = value;
   for (node >>= 1; node >= 1; node >>= 1) {
@@ -23,7 +24,7 @@ void ProportionalSampler::SetLeaf(size_t leaf, double value) {
   }
 }
 
-size_t ProportionalSampler::FindPrefix(double mass) const {
+size_t PrioritizedReplay::FindPrefix(double mass) const {
   size_t node = 1;
   while (node < leaves_) {
     const double left = tree_[2 * node];
@@ -36,33 +37,40 @@ size_t ProportionalSampler::FindPrefix(double mass) const {
   }
   size_t leaf = node - leaves_;
   // Guard against floating-point drift selecting an empty slot.
-  if (leaf >= size_) leaf = size_ == 0 ? 0 : size_ - 1;
+  const size_t n = size();
+  if (leaf >= n) leaf = n == 0 ? 0 : n - 1;
   return leaf;
 }
 
-size_t ProportionalSampler::Add() {
+size_t PrioritizedReplay::Add(Transition t) {
   const size_t slot = next_;
   SetLeaf(slot, std::pow(max_priority_, config_.alpha));
   next_ = (next_ + 1) % config_.capacity;
-  size_ = std::min(size_ + 1, config_.capacity);
+  // Slots fill in ring order, so the claimed slot holds an occupant
+  // exactly when the buffer is already full.
+  const size_t n = size();
+  size_t bytes = approx_bytes_.load(std::memory_order_relaxed);
+  if (n == config_.capacity) bytes -= items_[slot].ApproxBytes();
+  bytes += t.ApproxBytes();
+  items_[slot] = std::move(t);
+  approx_bytes_.store(bytes, std::memory_order_release);
+  size_.store(std::min(n + 1, config_.capacity), std::memory_order_release);
   return slot;
 }
 
-double ProportionalSampler::beta() const {
+double PrioritizedReplay::beta() const {
   const double frac =
       std::min(1.0, static_cast<double>(sample_steps_) /
                         std::max(1.0, config_.beta_anneal_steps));
   return config_.beta0 + (1.0 - config_.beta0) * frac;
 }
 
-bool ProportionalSampler::SampleBatchInto(size_t batch, Rng* rng,
-                                          std::vector<size_t>* slots,
-                                          std::vector<double>* raw_weights,
-                                          std::vector<float>* weights) {
-  CROWDRL_CHECK(size_ > 0);
-  slots->resize(batch);
-  raw_weights->resize(batch);
-  weights->resize(batch);
+void PrioritizedReplay::SampleBatchInto(size_t batch, Rng* rng, Batch* out) {
+  const size_t n = size();
+  CROWDRL_CHECK(n > 0);
+  out->slots.resize(batch);
+  out->weights.resize(batch);
+  out->items.resize(batch);
   const double total = tree_[1];
   // Both branches must advance the annealing clock: the uniform fallback
   // used to skip it, silently stalling the beta schedule whenever the tree
@@ -71,70 +79,44 @@ bool ProportionalSampler::SampleBatchInto(size_t batch, Rng* rng,
   sample_steps_ += static_cast<int64_t>(batch);
   if (total <= 0) {
     for (size_t i = 0; i < batch; ++i) {
-      (*slots)[i] = rng->UniformInt(size_);
-      (*raw_weights)[i] = 1.0;
-      (*weights)[i] = 1.0f;
+      out->slots[i] = rng->UniformInt(n);
+      out->weights[i] = 1.0f;
     }
-    return false;
+  } else {
+    raw_weights_.resize(batch);
+    const double segment = total / static_cast<double>(batch);
+    double max_weight = 0.0;
+    for (size_t i = 0; i < batch; ++i) {
+      // Stratified: one draw per equal-mass segment.
+      const double mass = (static_cast<double>(i) + rng->Uniform()) * segment;
+      const size_t slot = FindPrefix(std::min(mass, total * (1.0 - 1e-12)));
+      const double prob = tree_[leaves_ + slot] / total;
+      const double w =
+          std::pow(static_cast<double>(n) * std::max(prob, 1e-12), -b);
+      out->slots[i] = slot;
+      raw_weights_[i] = w;
+      max_weight = std::max(max_weight, w);
+    }
+    for (size_t i = 0; i < batch; ++i) {
+      out->weights[i] = static_cast<float>(raw_weights_[i] / max_weight);
+    }
   }
-  const double segment = total / static_cast<double>(batch);
-  double max_weight = 0.0;
-  for (size_t i = 0; i < batch; ++i) {
-    // Stratified: one draw per equal-mass segment.
-    const double mass = (static_cast<double>(i) + rng->Uniform()) * segment;
-    const size_t slot = FindPrefix(std::min(mass, total * (1.0 - 1e-12)));
-    const double prob = tree_[leaves_ + slot] / total;
-    const double w =
-        std::pow(static_cast<double>(size_) * std::max(prob, 1e-12), -b);
-    (*slots)[i] = slot;
-    (*raw_weights)[i] = w;
-    max_weight = std::max(max_weight, w);
-  }
-  for (size_t i = 0; i < batch; ++i) {
-    (*weights)[i] = static_cast<float>((*raw_weights)[i] / max_weight);
-  }
-  return true;
+  for (size_t i = 0; i < batch; ++i) out->items[i] = &items_[out->slots[i]];
 }
 
-void ProportionalSampler::UpdatePriority(size_t slot, double td_error) {
+void PrioritizedReplay::UpdatePriority(size_t slot, double td_error) {
   CROWDRL_CHECK(slot < config_.capacity);
   const double p = std::max(std::fabs(td_error), config_.min_priority);
   max_priority_ = std::max(max_priority_, p);
   SetLeaf(slot, std::pow(p, config_.alpha));
 }
 
-double ProportionalSampler::LeafPriority(size_t slot) const {
-  CROWDRL_CHECK(slot < config_.capacity);
-  return tree_[leaves_ + slot];
-}
-
-PrioritizedReplay::PrioritizedReplay(const PrioritizedReplayConfig& config)
-    : sampler_(config) {
-  items_.resize(config.capacity);
-}
-
-size_t PrioritizedReplay::Add(Transition t) {
-  const size_t slot = sampler_.Add();
-  items_[slot] = std::move(t);
-  return slot;
-}
-
-std::vector<PrioritizedReplay::Sample> PrioritizedReplay::SampleBatch(
-    size_t batch, Rng* rng) {
-  std::vector<size_t> slots;
-  std::vector<double> raw_weights;
-  std::vector<float> weights;
-  sampler_.SampleBatchInto(batch, rng, &slots, &raw_weights, &weights);
-  std::vector<Sample> out;
-  out.reserve(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    out.push_back({slots[i], weights[i]});
+void PrioritizedReplay::UpdatePriorities(const std::vector<size_t>& slots,
+                                         const std::vector<double>& td_errors) {
+  CROWDRL_CHECK(slots.size() == td_errors.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    UpdatePriority(slots[i], td_errors[i]);
   }
-  return out;
-}
-
-void PrioritizedReplay::UpdatePriority(size_t slot, double td_error) {
-  sampler_.UpdatePriority(slot, td_error);
 }
 
 }  // namespace crowdrl

@@ -1,7 +1,9 @@
 #ifndef CROWDRL_RL_PRIORITIZED_REPLAY_H_
 #define CROWDRL_RL_PRIORITIZED_REPLAY_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,48 +20,63 @@ struct PrioritizedReplayConfig {
   double min_priority = 1e-3;        ///< floor so nothing starves
 };
 
-/// \brief The sum-tree sampling core of proportional prioritized replay,
-/// decoupled from transition ownership.
+/// \brief Proportional prioritized experience replay backed by a sum tree —
+/// the learner's one production buffer.
 ///
-/// This class owns everything about *which* slots a batch draws and with
-/// what importance-sampling weights — the implicit binary sum tree, the
-/// ring-slot cursor, the max-seen priority and the β annealing clock — but
-/// nothing about what lives in the slots. `PrioritizedReplay` pairs it with
-/// boxed `Transition` objects (the paper-scale buffer); `ReplayPipeline`
-/// pairs it with either boxed items or a `PackedTransitionStore` arena and
-/// adds the background add/sample threads. Both therefore run the exact
-/// same sampling arithmetic, which is what makes the pipeline's
-/// deterministic synchronous mode bit-exact against this class.
-class ProportionalSampler {
+/// Priorities are |TD error|^α; sampling is stratified over the cumulative
+/// mass; importance-sampling weights (N·P(i))^{−β} / max_j w_j correct the
+/// induced bias, with β annealed toward 1. Transitions are stored boxed in
+/// a ring of `capacity` slots.
+///
+/// Not internally synchronized: its one owner (a DqnAgent) adds, samples
+/// and re-prioritizes on the serial framework's thread or under the serving
+/// shard's learner lock. Only `size()` and `ApproxBytes()` are atomic, so a
+/// stats reader may poll them while the learner trains.
+class PrioritizedReplay {
  public:
-  explicit ProportionalSampler(const PrioritizedReplayConfig& config);
+  explicit PrioritizedReplay(const PrioritizedReplayConfig& config);
 
-  /// Claims the next ring slot with max-seen priority (new experiences
-  /// replay at least once) and returns it. The caller stores the payload.
-  size_t Add();
+  PrioritizedReplay(const PrioritizedReplay&) = delete;
+  PrioritizedReplay& operator=(const PrioritizedReplay&) = delete;
 
-  /// Stratified sample of `batch` slots into the three parallel output
-  /// arrays (resized to `batch`; capacity is reused). `raw_weights` holds
-  /// the unnormalized (N·P(i))^{−β} terms — `ReplayPipeline` renormalizes
-  /// them when it refreshes a prefetched batch against newer priorities —
-  /// and `weights` the max-normalized float weights in (0, 1]. Returns
-  /// false iff the total mass was zero and the uniform fallback ran (all
-  /// weights 1). Advances the β annealing clock either way.
-  bool SampleBatchInto(size_t batch, Rng* rng, std::vector<size_t>* slots,
-                       std::vector<double>* raw_weights,
-                       std::vector<float>* weights);
+  /// One sampled minibatch. The learner keeps one across steps, so its
+  /// vectors reach a steady capacity and sampling allocates nothing.
+  struct Batch {
+    std::vector<size_t> slots;
+    std::vector<float> weights;  ///< normalized IS weights in (0, 1]
+    /// The sampled transitions, pointing into the buffer's slots: valid
+    /// until the next Add.
+    std::vector<const Transition*> items;
+  };
+
+  /// Stores `t` in the next ring slot with max-seen priority (new
+  /// experiences replay at least once) and returns the slot.
+  size_t Add(Transition t);
+
+  /// Stratified sample of `batch` slots into `*out` (resized to `batch`).
+  /// Requires a non-empty buffer. When the total mass is zero it falls
+  /// back to uniform draws with all weights 1. Advances the β annealing
+  /// clock either way.
+  void SampleBatchInto(size_t batch, Rng* rng, Batch* out);
 
   /// Re-prioritizes a slot after its TD error was re-evaluated.
   void UpdatePriority(size_t slot, double td_error);
+  /// Re-prioritizes `slots[i]` with TD error `td_errors[i]`, in order.
+  void UpdatePriorities(const std::vector<size_t>& slots,
+                        const std::vector<double>& td_errors);
 
-  /// Unnormalized priority mass of one slot (the sum-tree leaf value).
-  double LeafPriority(size_t slot) const;
+  const Transition& at(size_t slot) const { return items_[slot]; }
 
-  size_t size() const { return size_; }
+  /// Transitions resident in the buffer.
+  size_t size() const { return size_.load(std::memory_order_acquire); }
+  /// Sum of `Transition::ApproxBytes()` over the resident transitions.
+  size_t ApproxBytes() const {
+    return approx_bytes_.load(std::memory_order_acquire);
+  }
   size_t capacity() const { return config_.capacity; }
+  bool empty() const { return size() == 0; }
   double total_priority() const { return tree_[1]; }
   double beta() const;
-  const PrioritizedReplayConfig& config() const { return config_; }
 
  private:
   void SetLeaf(size_t leaf, double value);
@@ -68,49 +85,13 @@ class ProportionalSampler {
   PrioritizedReplayConfig config_;
   size_t leaves_;              // power-of-two leaf count
   std::vector<double> tree_;   // 1-indexed implicit binary tree
-  size_t size_ = 0;
+  std::vector<Transition> items_;
   size_t next_ = 0;
   double max_priority_ = 1.0;
   int64_t sample_steps_ = 0;
-};
-
-/// \brief Proportional prioritized experience replay backed by a sum tree.
-///
-/// Priorities are |TD error|^α; sampling is stratified over the cumulative
-/// mass; importance-sampling weights (N·P(i))^{−β} / max_j w_j correct the
-/// induced bias, with β annealed toward 1. The sampling arithmetic lives in
-/// ProportionalSampler; this class adds boxed transition ownership.
-class PrioritizedReplay {
- public:
-  explicit PrioritizedReplay(const PrioritizedReplayConfig& config);
-
-  /// One sampled slot with its IS weight.
-  struct Sample {
-    size_t slot;
-    float weight;  ///< normalized importance-sampling weight in (0, 1]
-  };
-
-  /// Inserts with max-seen priority (new experiences replay at least once).
-  size_t Add(Transition t);
-
-  /// Stratified sample of `batch` slots. Advances the β annealing clock.
-  std::vector<Sample> SampleBatch(size_t batch, Rng* rng);
-
-  /// Re-prioritizes a slot after its TD error was re-evaluated.
-  void UpdatePriority(size_t slot, double td_error);
-
-  Transition& at(size_t slot) { return items_[slot]; }
-  const Transition& at(size_t slot) const { return items_[slot]; }
-
-  size_t size() const { return sampler_.size(); }
-  size_t capacity() const { return sampler_.capacity(); }
-  bool empty() const { return sampler_.size() == 0; }
-  double total_priority() const { return sampler_.total_priority(); }
-  double beta() const { return sampler_.beta(); }
-
- private:
-  ProportionalSampler sampler_;
-  std::vector<Transition> items_;
+  std::vector<double> raw_weights_;  // SampleBatchInto scratch: (N·P)^{−β}
+  std::atomic<size_t> size_{0};
+  std::atomic<size_t> approx_bytes_{0};
 };
 
 }  // namespace crowdrl

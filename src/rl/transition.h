@@ -50,8 +50,7 @@ struct FutureStateSpec {
   }
 
   /// Approximate heap + inline footprint in bytes. Counts live elements
-  /// (size), not reserved capacity, so boxed and packed storage are
-  /// compared on the payload they actually hold.
+  /// (size), not reserved capacity.
   size_t ApproxBytes() const {
     size_t bytes = sizeof(branches) + branches.size() * sizeof(Branch);
     for (const auto& b : branches) {

@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "common/check.h"
-#include "serve/service.h"
+#include "serve/shard.h"
 #include "serve/sharded_service.h"
 
 namespace crowdrl {
 
-/// \brief Adapts an ArrangementService to the Policy interface so the
+/// \brief Adapts a ServiceShard to the Policy interface so the
 /// standard ReplayHarness / Experiment tooling can drive a *service*
 /// end-to-end — and so the serial framework and the service are directly
 /// interchangeable in equivalence tests.
@@ -25,7 +25,7 @@ namespace crowdrl {
 /// learner execution context, where mutating the agents is safe.
 class ServingPolicy : public Policy {
  public:
-  explicit ServingPolicy(ArrangementService* service)
+  explicit ServingPolicy(ServiceShard* service)
       : service_(service), session_(service->NewSession()) {}
 
   std::string name() const override {
@@ -37,7 +37,7 @@ class ServingPolicy : public Policy {
   }
 
   std::vector<int> Rank(const Observation& obs) override {
-    ArrangementService::Ticket ticket;
+    ServiceShard::Ticket ticket;
     std::vector<int> ranking = session_->Rank(obs, &ticket);
     tickets_.emplace(obs.arrival_index, std::move(ticket));
     while (tickets_.size() > TaskArrangementFramework::kMaxPendingDecisions) {
@@ -77,12 +77,12 @@ class ServingPolicy : public Policy {
     service_->PublishNow();
   }
 
-  ArrangementService::Session* session() { return session_.get(); }
+  ServiceShard::Session* session() { return session_.get(); }
 
  private:
-  ArrangementService* service_;
-  std::unique_ptr<ArrangementService::Session> session_;
-  std::map<int64_t, ArrangementService::Ticket> tickets_;
+  ServiceShard* service_;
+  std::unique_ptr<ServiceShard::Session> session_;
+  std::map<int64_t, ServiceShard::Ticket> tickets_;
 };
 
 /// \brief Policy adapter for the *sharded* service: the replay harness

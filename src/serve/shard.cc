@@ -213,10 +213,7 @@ ServiceShard::Session::Session(ServiceShard* shard)
           // Feedback() returns with the event already learned.
           shard->config_.inline_learning
               ? 1
-              : shard->config_.flush_block_events,
-          [](const TransitionBlocks& blocks) { return blocks.ApproxBytes(); },
-          shard->config_.inline_learning ? 0
-                                         : shard->config_.flush_block_bytes) {
+              : shard->config_.flush_block_events) {
   shard_->live_sessions_.fetch_add(1);
 }
 

@@ -49,12 +49,6 @@ struct ServiceConfig {
   /// Per-session local buffer: feedback events accumulate locally and
   /// flush to the learner in blocks of this many events.
   size_t flush_block_events = 4;
-  /// Byte budget of one local block: a block also flushes once its
-  /// transitions' ApproxBytes reach this bound (0 = count-only flushing).
-  /// Keeps large payloads — retained future specs, wide task pools — from
-  /// parking in actor-local buffers while small events still amortize the
-  /// learner-queue hand-off.
-  size_t flush_block_bytes = 0;
   /// Publish a fresh parameter snapshot every this many learned feedback
   /// events (1 = after every event, the paper's per-feedback cadence).
   int64_t publish_every_events = 1;
@@ -136,10 +130,9 @@ struct ServiceStats {
 /// learning framework behind a micro-batched rank queue, an actor/learner
 /// split and a versioned snapshot chain.
 ///
-/// This is the component the PR-3 monolithic ArrangementService was
-/// extracted into: ArrangementService is now literally the S = 1
-/// instantiation, and ShardedArrangementService composes S of these behind
-/// a worker router. Per shard:
+/// Used directly, it is the single-shard service;
+/// ShardedArrangementService composes S of these behind a worker router.
+/// Per shard:
 ///
 ///  * N *actor* threads (one Session each) submit Rank requests into a
 ///    bounded MPMC queue and, at feedback time, mint prioritized-replay

@@ -37,7 +37,7 @@ struct ShardedServiceStats {
 /// thread on top of the shared inference pool).
 ///
 /// With S = 1 the router maps every worker to shard 0 and this class is
-/// behaviourally identical to ArrangementService — and, with one inline
+/// behaviourally identical to a lone ServiceShard — and, with one inline
 /// actor, bit-for-bit the serial framework (equivalence-tested). S > 1
 /// runs are deterministic for a fixed seed and shard count under a single
 /// driver; per-shard models differ from the S = 1 model because each

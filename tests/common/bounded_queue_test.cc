@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -255,56 +254,6 @@ TEST(BoundedQueueTest, CloseWakesBlockedTryPushForWithClosed) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
   producer.join();
-}
-
-TEST(BoundedQueueTest, TryPopIsNonBlocking) {
-  BoundedQueue<int> q(4);
-  EXPECT_FALSE(q.TryPop().has_value());  // empty: immediate nullopt
-  ASSERT_TRUE(q.Push(5));
-  ASSERT_TRUE(q.Push(6));
-  EXPECT_EQ(*q.TryPop(), 5);
-  EXPECT_EQ(*q.TryPop(), 6);
-  EXPECT_FALSE(q.TryPop().has_value());
-  q.Close();
-  EXPECT_FALSE(q.TryPop().has_value());  // closed and drained
-}
-
-TEST(BoundedQueueTest, PopForTimesOutThenDeliversWithinBudget) {
-  BoundedQueue<int> q(4);
-  // No producer: the budget elapses empty-handed.
-  EXPECT_FALSE(q.PopFor(/*budget_us=*/2000).has_value());
-  EXPECT_FALSE(q.closed());  // timeout, not shutdown
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(q.Push(9));
-  });
-  // Generous budget: the pop must latch on as soon as the item lands.
-  auto v = q.PopFor(/*budget_us=*/2000000);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 9);
-  producer.join();
-}
-
-TEST(BoundedQueueTest, KeepVariantTryPushForRetainsItemOnFailure) {
-  // The pooled-resource contract: a timed-out (or closed-raced) push via
-  // the pointer overload must leave the item with the caller instead of
-  // destroying it — the replay pipeline's batch-shell pool depends on it.
-  BoundedQueue<std::unique_ptr<int>> q(1);
-  ASSERT_TRUE(q.Push(std::make_unique<int>(1)));
-  auto item = std::make_unique<int>(2);
-  EXPECT_EQ(q.TryPushFor(&item, /*budget_us=*/0),
-            BoundedQueue<std::unique_ptr<int>>::PushResult::kTimeout);
-  ASSERT_TRUE(item != nullptr);  // retained, not dropped
-  EXPECT_EQ(*item, 2);
-  ASSERT_TRUE(q.Pop().has_value());
-  EXPECT_EQ(q.TryPushFor(&item, /*budget_us=*/0),
-            BoundedQueue<std::unique_ptr<int>>::PushResult::kOk);
-  EXPECT_TRUE(item == nullptr);  // consumed on success
-  q.Close();
-  auto late = std::make_unique<int>(3);
-  EXPECT_EQ(q.TryPushFor(&late, /*budget_us=*/0),
-            BoundedQueue<std::unique_ptr<int>>::PushResult::kClosed);
-  ASSERT_TRUE(late != nullptr);  // caller still owns it after shutdown
 }
 
 TEST(BoundedQueueTest, ConcurrentTryPushForAndCloseNeverLosesAccounting) {

@@ -61,7 +61,7 @@ DqnAgentConfig TrainingConfig() {
 }
 
 // Stores `n` transitions drawn from `seed` and runs `steps` learner steps.
-// Heap-allocated: DqnAgent is pinned in place by its replay pipeline.
+// Heap-allocated: DqnAgent is not movable (its replay buffer holds atomics).
 std::unique_ptr<DqnAgent> TrainOnce(int n, int steps, uint64_t seed) {
   auto agent_ptr = std::make_unique<DqnAgent>(TrainingConfig());
   DqnAgent& agent = *agent_ptr;

@@ -99,7 +99,7 @@ TEST(DqnAgentTest, StoreComputesTargetAndFreesFuture) {
   const double expected = agent.ComputeTarget(0.5f, t.future);
   agent.Store(std::move(t));
   EXPECT_EQ(agent.stored(), 1);
-  EXPECT_EQ(agent.buffer_size(), 1u);
+  EXPECT_EQ(agent.replay_transitions(), 1u);
   // Future spec was released after the target was computed.
   // (Peek into the stored transition through the public path.)
   EXPECT_NEAR(expected, 0.5 + 0.5 * agent.ComputeFutureValue(
@@ -196,47 +196,6 @@ TEST(DqnAgentTest, RecomputeTargetsKeepsFutureSpecs) {
   EXPECT_TRUE(std::isfinite(agent.last_loss()));
 }
 
-TEST(DqnAgentTest, PackedReplayMatchesBoxedTrajectory) {
-  // The packed arena is a storage-layout change only: with identical seeds
-  // the whole learn trajectory (loss stream) must be bit-identical.
-  DqnAgentConfig boxed_cfg = SmallConfig(17);
-  DqnAgentConfig packed_cfg = SmallConfig(17);
-  packed_cfg.replay_pipeline.packed = true;
-  DqnAgent boxed(boxed_cfg), packed(packed_cfg);
-  for (int i = 0; i < 16; ++i) {
-    boxed.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
-    packed.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
-  }
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(boxed.LearnStep(), packed.LearnStep());
-    ASSERT_EQ(boxed.last_loss(), packed.last_loss()) << "step " << i;
-  }
-  EXPECT_GT(packed.replay_bytes(), 0u);
-  EXPECT_GT(boxed.replay_bytes(), 0u);
-}
-
-TEST(DqnAgentTest, PipelinedReplaySmokesThroughLearnSteps) {
-  DqnAgentConfig cfg = SmallConfig(19);
-  cfg.replay_pipeline.pipelined = true;
-  cfg.replay_pipeline.packed = true;
-  DqnAgent agent(cfg);
-  for (int i = 0; i < 16; ++i) {
-    agent.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
-  }
-  int learned = 0;
-  // Pipelined warm-up is asynchronous; keep polling until steps land.
-  for (int i = 0; i < 10000 && learned < 25; ++i) {
-    if (agent.LearnStep()) {
-      ++learned;
-      EXPECT_TRUE(std::isfinite(agent.last_loss()));
-      EXPECT_GE(agent.last_loss(), 0.0);
-    }
-  }
-  EXPECT_EQ(learned, 25);
-  EXPECT_EQ(agent.replay_transitions(), 16u);
-  EXPECT_GT(agent.replay_bytes(), 0u);
-}
-
 // ---- the learner's action-row pass vs a dense per-sample reference ----
 
 /// Test-side reference of DqnAgent::LearnStep: the dense per-sample loop
@@ -251,7 +210,7 @@ class DenseReferenceLearner {
         online_(agent.online()),
         target_(agent.target_net()),
         optimizer_(online_.Params(), cfg.opt),
-        replay_(cfg.replay, cfg.batch_size, cfg.replay_pipeline) {}
+        replay_(cfg.replay) {}
 
   const SetQNetwork& online() const { return online_; }
   const SetQNetwork& target() const { return target_; }
@@ -271,8 +230,9 @@ class DenseReferenceLearner {
   }
 
   bool LearnStep() {
-    if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
     const size_t batch = cfg_.batch_size;
+    if (replay_.size() < batch) return false;
+    replay_.SampleBatchInto(batch, &rng_, &batch_);
     const size_t chunks = std::max<size_t>(
         1, std::min({ThreadPool::Global().num_threads(), batch,
                      static_cast<size_t>(16)}));
@@ -282,7 +242,7 @@ class DenseReferenceLearner {
     for (size_t ci = 0; ci < chunks; ++ci) {
       for (size_t i = ci * batch / chunks; i < (ci + 1) * batch / chunks;
            ++i) {
-        const Transition& tr = batch_.item(i);
+        const Transition& tr = *batch_.items[i];
         const double y =
             cfg_.recompute_targets_on_replay ? Target(tr) : tr.target;
         SetQNetwork::Cache cache;
@@ -291,13 +251,13 @@ class DenseReferenceLearner {
         td[i] = delta;
         Matrix dq(q.rows(), 1);
         dq(tr.action_row, 0) =
-            static_cast<float>(2.0 * batch_.weight(i) * delta);
+            static_cast<float>(2.0 * batch_.weights[i] * delta);
         online_.Backward(dq, cache, &grads[ci]);
       }
     }
     for (size_t c = 1; c < chunks; ++c) grads[0].Add(grads[c]);
     optimizer_.Step(grads[0].g, 1.0 / static_cast<double>(batch));
-    replay_.UpdatePriorities(batch_.slots(), td);
+    replay_.UpdatePriorities(batch_.slots, td);
     ++learn_steps_;
     if (cfg_.target_sync_every > 0 &&
         learn_steps_ % cfg_.target_sync_every == 0) {
@@ -312,8 +272,8 @@ class DenseReferenceLearner {
   SetQNetwork online_;
   SetQNetwork target_;
   Adam optimizer_;
-  ReplayPipeline replay_;
-  ReplayPipeline::Batch batch_;
+  PrioritizedReplay replay_;
+  PrioritizedReplay::Batch batch_;
   int64_t learn_steps_ = 0;
 };
 

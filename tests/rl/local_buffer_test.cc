@@ -48,50 +48,6 @@ TEST(LocalBufferTest, RejectedBlocksAreDroppedAndCounted) {
   EXPECT_EQ(buf.flushed_blocks(), 0);
 }
 
-TEST(LocalBufferTest, ByteBudgetFlushesLargeItemsEarly) {
-  std::vector<std::vector<int>> received;
-  // Each item "costs" 100·value bytes; the block flushes at 8 items OR
-  // 500 accumulated bytes, whichever lands first.
-  LocalBuffer<int> buf(
-      [&](std::vector<int>&& block) {
-        received.push_back(std::move(block));
-        return true;
-      },
-      /*block_size=*/8, [](const int& v) { return size_t(100) * v; },
-      /*max_block_bytes=*/500);
-
-  for (int i = 0; i < 4; ++i) buf.Add(1);  // 400 bytes: still pending
-  EXPECT_EQ(received.size(), 0u);
-  EXPECT_EQ(buf.pending(), 4u);
-  EXPECT_EQ(buf.pending_bytes(), 400u);
-  buf.Add(1);  // 500 bytes: the byte trigger fires before the count does
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received[0].size(), 5u);
-  EXPECT_EQ(buf.pending_bytes(), 0u);
-
-  buf.Add(6);  // one 600-byte item blows the budget on its own
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[1], (std::vector<int>{6}));
-
-  for (int i = 0; i < 8; ++i) buf.Add(0);  // zero-cost items: count trigger
-  ASSERT_EQ(received.size(), 3u);
-  EXPECT_EQ(received[2].size(), 8u);
-}
-
-TEST(LocalBufferTest, ZeroByteBudgetDisablesByteTrigger) {
-  int flushes = 0;
-  LocalBuffer<int> buf([&](std::vector<int>&&) {
-    ++flushes;
-    return true;
-  },
-                       /*block_size=*/4, [](const int&) { return size_t(1) << 20; },
-                       /*max_block_bytes=*/0);
-  for (int i = 0; i < 3; ++i) buf.Add(i);  // huge per-item cost, no trigger
-  EXPECT_EQ(flushes, 0);
-  buf.Add(3);  // count trigger only
-  EXPECT_EQ(flushes, 1);
-}
-
 TEST(LocalBufferTest, PerProducerBuffersFeedOneSharedQueue) {
   // The serve-pipeline shape: one LocalBuffer per producer thread, all
   // flushing blocks into a shared bounded queue drained by one consumer.

@@ -14,6 +14,14 @@ Transition MakeTransition(float reward) {
   return t;
 }
 
+/// Samples one batch through the buffer's allocation-free entry point.
+PrioritizedReplay::Batch Sample(PrioritizedReplay* replay, size_t batch,
+                                Rng* rng) {
+  PrioritizedReplay::Batch out;
+  replay->SampleBatchInto(batch, rng, &out);
+  return out;
+}
+
 PrioritizedReplayConfig SmallConfig(size_t capacity) {
   PrioritizedReplayConfig cfg;
   cfg.capacity = capacity;
@@ -47,8 +55,8 @@ TEST(PrioritizedReplayTest, HighPrioritySamplesDominate) {
   Rng rng(2);
   int hits = 0, total = 0;
   for (int round = 0; round < 50; ++round) {
-    for (const auto& s : replay.SampleBatch(8, &rng)) {
-      hits += s.slot == 3;
+    for (size_t slot : Sample(&replay, 8, &rng).slots) {
+      hits += slot == 3;
       ++total;
     }
   }
@@ -60,9 +68,13 @@ TEST(PrioritizedReplayTest, WeightsAreNormalizedToAtMostOne) {
   for (int i = 0; i < 8; ++i) replay.Add(MakeTransition(i));
   for (int i = 0; i < 8; ++i) replay.UpdatePriority(i, 0.1 * (i + 1));
   Rng rng(3);
-  for (const auto& s : replay.SampleBatch(16, &rng)) {
-    EXPECT_GT(s.weight, 0.0f);
-    EXPECT_LE(s.weight, 1.0f + 1e-6f);
+  const PrioritizedReplay::Batch batch = Sample(&replay, 16, &rng);
+  ASSERT_EQ(batch.weights.size(), 16u);
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_GT(batch.weights[i], 0.0f);
+    EXPECT_LE(batch.weights[i], 1.0f + 1e-6f);
+    // Items point at the sampled slots' resident transitions.
+    EXPECT_EQ(batch.items[i], &replay.at(batch.slots[i]));
   }
 }
 
@@ -75,9 +87,10 @@ TEST(PrioritizedReplayTest, RareItemsGetLargerWeights) {
   float common_weight = -1, rare_weight = -1;
   for (int round = 0; round < 20 && (common_weight < 0 || rare_weight < 0);
        ++round) {
-    for (const auto& s : replay.SampleBatch(8, &rng)) {
-      if (s.slot == 0) common_weight = s.weight;
-      if (s.slot != 0) rare_weight = s.weight;
+    const PrioritizedReplay::Batch batch = Sample(&replay, 8, &rng);
+    for (size_t i = 0; i < 8; ++i) {
+      if (batch.slots[i] == 0) common_weight = batch.weights[i];
+      if (batch.slots[i] != 0) rare_weight = batch.weights[i];
     }
   }
   ASSERT_GE(common_weight, 0);
@@ -93,9 +106,10 @@ TEST(PrioritizedReplayTest, BetaAnnealsTowardOne) {
   replay.Add(MakeTransition(0));
   const double beta0 = replay.beta();
   Rng rng(5);
-  for (int i = 0; i < 30; ++i) replay.SampleBatch(8, &rng);
+  PrioritizedReplay::Batch batch;
+  for (int i = 0; i < 30; ++i) replay.SampleBatchInto(8, &rng, &batch);
   EXPECT_GT(replay.beta(), beta0);
-  for (int i = 0; i < 100; ++i) replay.SampleBatch(8, &rng);
+  for (int i = 0; i < 100; ++i) replay.SampleBatchInto(8, &rng, &batch);
   EXPECT_NEAR(replay.beta(), 1.0, 1e-9);
 }
 
@@ -118,11 +132,15 @@ TEST(PrioritizedReplayTest, UniformFallbackAdvancesBetaSchedule) {
   }
   ASSERT_LE(degenerate.total_priority(), 0.0);
   Rng rng_a(8), rng_b(9);
-  for (int i = 0; i < 5; ++i) {
-    auto batch = degenerate.SampleBatch(8, &rng_a);
-    EXPECT_EQ(batch.size(), 8u);
-    for (const auto& s : batch) EXPECT_LT(s.slot, 4u);
-    healthy.SampleBatch(8, &rng_b);
+  PrioritizedReplay::Batch batch;
+  for (int round = 0; round < 5; ++round) {
+    degenerate.SampleBatchInto(8, &rng_a, &batch);
+    EXPECT_EQ(batch.slots.size(), 8u);
+    for (size_t i = 0; i < 8; ++i) {
+      EXPECT_LT(batch.slots[i], 4u);
+      EXPECT_EQ(batch.weights[i], 1.0f);  // uniform fallback
+    }
+    healthy.SampleBatchInto(8, &rng_b, &batch);
   }
   // Both paths must have annealed identically.
   EXPECT_DOUBLE_EQ(degenerate.beta(), healthy.beta());
@@ -135,8 +153,7 @@ TEST(PrioritizedReplayTest, MinPriorityPreventsStarvation) {
   for (int i = 0; i < 4; ++i) replay.UpdatePriority(i, 0.0);  // all zero TD
   EXPECT_GT(replay.total_priority(), 0.0);
   Rng rng(6);
-  auto batch = replay.SampleBatch(16, &rng);
-  EXPECT_EQ(batch.size(), 16u);
+  EXPECT_EQ(Sample(&replay, 16, &rng).slots.size(), 16u);
 }
 
 TEST(PrioritizedReplayTest, NonPowerOfTwoCapacity) {
@@ -144,8 +161,34 @@ TEST(PrioritizedReplayTest, NonPowerOfTwoCapacity) {
   for (int i = 0; i < 7; ++i) replay.Add(MakeTransition(i));
   EXPECT_EQ(replay.size(), 5u);
   Rng rng(7);
-  for (const auto& s : replay.SampleBatch(32, &rng)) {
-    EXPECT_LT(s.slot, 5u);
+  for (size_t slot : Sample(&replay, 32, &rng).slots) EXPECT_LT(slot, 5u);
+}
+
+TEST(PrioritizedReplayTest, ApproxBytesTracksResidentTransitions) {
+  // Overwrite the ring several times over with transitions whose payload
+  // changes shape (pool size, future branches): the running byte count
+  // must equal the footprint of exactly the resident slots after every add.
+  PrioritizedReplay replay(SmallConfig(5));
+  EXPECT_EQ(replay.ApproxBytes(), 0u);
+  Rng rng(11);
+  for (int i = 0; i < 23; ++i) {
+    Transition t;
+    const size_t pool = 1 + static_cast<size_t>(rng.UniformInt(9));
+    t.state = Matrix(pool, 3);
+    t.valid_n = pool;
+    t.action_row = 0;
+    t.future.branches.resize(static_cast<size_t>(rng.UniformInt(4)));
+    for (auto& branch : t.future.branches) {
+      const size_t rows = 1 + static_cast<size_t>(rng.UniformInt(6));
+      branch.base = Matrix(rows, 3);
+      branch.segments.assign(rows, {rows, 0.1f});
+    }
+    replay.Add(std::move(t));
+    size_t resident = 0;
+    for (size_t slot = 0; slot < replay.size(); ++slot) {
+      resident += replay.at(slot).ApproxBytes();
+    }
+    ASSERT_EQ(replay.ApproxBytes(), resident) << "after add " << i;
   }
 }
 

@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "serve/service.h"
+#include "serve/shard.h"
 #include "serve/workload.h"
 #include "tensor/matrix.h"
 
@@ -56,7 +56,7 @@ TEST(ServeCheckpointTest, SaveLoadRoundTripsWhileLearnerIsMidTraining) {
   ServiceConfig cfg;
   cfg.flush_block_events = 1;  // keep the learner continuously busy
   cfg.publish_every_events = 2;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
 
   constexpr int kActors = 3;
@@ -74,7 +74,7 @@ TEST(ServeCheckpointTest, SaveLoadRoundTripsWhileLearnerIsMidTraining) {
         const Observation obs =
             workload.MakeObservation(arrival_counter.fetch_add(1), &rng);
         service.RecordArrival(obs);
-        ArrangementService::Ticket ticket;
+        ServiceShard::Ticket ticket;
         const auto ranking = session->Rank(obs, &ticket);
         session->Feedback(obs, ticket, ranking,
                           workload.SimulateFeedback(obs, ranking, &rng));
@@ -124,7 +124,7 @@ TEST(ServeCheckpointTest, LoadPublishesRestoredParametersToActors) {
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
 
   const std::string path = TempPath("serve_ckpt_publish.bin");
@@ -136,7 +136,7 @@ TEST(ServeCheckpointTest, LoadPublishesRestoredParametersToActors) {
   for (int i = 0; i < 20; ++i) {
     const Observation obs = workload.MakeObservation(i, &rng);
     service.RecordArrival(obs);
-    ArrangementService::Ticket ticket;
+    ServiceShard::Ticket ticket;
     const auto ranking = session->Rank(obs, &ticket);
     session->Feedback(obs, ticket, ranking,
                       workload.SimulateFeedback(obs, ranking, &rng));

@@ -82,7 +82,7 @@ TEST(ServeEquivalenceTest, OneActorInlineServiceBitMatchesSerialFramework) {
   ServiceConfig service_cfg;
   service_cfg.inline_learning = true;
   service_cfg.publish_every_events = 1;  // snapshot == live nets, always
-  ArrangementService service(&served, service_cfg);
+  ServiceShard service(&served, service_cfg);
   service.Start();
   ServingPolicy policy(&service);
   const RunResult served_result = served_harness.Run(&policy);
@@ -129,7 +129,7 @@ TEST(ServeEquivalenceTest, AsyncServiceMatchesTrajectoryWithSingleDriver) {
   ServiceConfig service_cfg;
   service_cfg.flush_block_events = 2;
   service_cfg.publish_every_events = 4;
-  ArrangementService service(&framework, service_cfg);
+  ServiceShard service(&framework, service_cfg);
   service.Start();
   {
     ServingPolicy policy(&service);

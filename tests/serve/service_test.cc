@@ -1,4 +1,4 @@
-#include "serve/service.h"
+#include "serve/shard.h"
 
 #include <gtest/gtest.h>
 
@@ -54,7 +54,7 @@ bool IsPermutation(const std::vector<int>& ranking, size_t n) {
 /// rank→feedback interactions and returns the service stats after a clean
 /// flush + stop.
 ServiceStats DriveConcurrently(const ServeWorkload& workload,
-                               ArrangementService* service, int actors,
+                               ServiceShard* service, int actors,
                                int events_per_actor) {
   std::atomic<int64_t> arrival_counter{0};
   std::atomic<int> bad_rankings{0};
@@ -67,7 +67,7 @@ ServiceStats DriveConcurrently(const ServeWorkload& workload,
         const int64_t index = arrival_counter.fetch_add(1);
         const Observation obs = workload.MakeObservation(index, &rng);
         service->RecordArrival(obs);
-        ArrangementService::Ticket ticket;
+        ServiceShard::Ticket ticket;
         const std::vector<int> ranking = session->Rank(obs, &ticket);
         if (!IsPermutation(ranking, obs.tasks.size())) ++bad_rankings;
         const Feedback feedback =
@@ -93,7 +93,7 @@ TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
   cfg.batch_window_us = 200;
   cfg.flush_block_events = 3;
   cfg.publish_every_events = 4;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
 
   constexpr int kActors = 4;
@@ -129,7 +129,7 @@ TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
   ServiceConfig cfg;
   cfg.inline_learning = true;
   cfg.publish_every_events = 1;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
 
   Rng rng(5);
@@ -137,7 +137,7 @@ TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
   for (int i = 0; i < 10; ++i) {
     const Observation obs = workload.MakeObservation(i, &rng);
     service.RecordArrival(obs);
-    ArrangementService::Ticket ticket;
+    ServiceShard::Ticket ticket;
     const std::vector<int> ranking = session->Rank(obs, &ticket);
     ASSERT_TRUE(IsPermutation(ranking, obs.tasks.size()));
     session->Feedback(obs, ticket,
@@ -157,7 +157,7 @@ TEST(ArrangementServiceTest, SnapshotVersionsAdvanceAndViewsAreConsistent) {
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   const auto snap1 = service.CurrentSnapshot();
   EXPECT_EQ(snap1->version, 1u);
@@ -181,14 +181,14 @@ TEST(ArrangementServiceTest, RankAfterStopDegradesToObservationOrder) {
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   service.Stop();
 
   Rng rng(9);
   auto session = service.NewSession();
   const Observation obs = workload.MakeObservation(0, &rng);
-  ArrangementService::Ticket ticket;
+  ServiceShard::Ticket ticket;
   const std::vector<int> ranking = session->Rank(obs, &ticket);
   ASSERT_TRUE(IsPermutation(ranking, obs.tasks.size()));
   // Degraded mode returns the unpersonalized observation order.
@@ -203,13 +203,13 @@ TEST(ArrangementServiceTest, EmptyPoolShortCircuits) {
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   auto session = service.NewSession();
   Observation obs;
   obs.worker = 0;
   obs.worker_features.resize(workload.worker_feature_dim(), 0.0f);
-  ArrangementService::Ticket ticket;
+  ServiceShard::Ticket ticket;
   EXPECT_TRUE(session->Rank(obs, &ticket).empty());
   EXPECT_EQ(service.stats().requests, 0);
   service.Stop();
@@ -224,7 +224,7 @@ TEST(ArrangementServiceTest, LoneSessionDoesNotWaitOutTheBatchWindow) {
                                      workload.task_feature_dim());
   ServiceConfig cfg;
   cfg.batch_window_us = 1000000;  // 1 s: waiting it out would take 20 s
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
   constexpr int kRanks = 20;
   Rng rng(4);
@@ -232,7 +232,7 @@ TEST(ArrangementServiceTest, LoneSessionDoesNotWaitOutTheBatchWindow) {
   Stopwatch sw;
   for (int i = 0; i < kRanks; ++i) {
     const Observation obs = workload.MakeObservation(i, &rng);
-    ArrangementService::Ticket ticket;
+    ServiceShard::Ticket ticket;
     ASSERT_TRUE(IsPermutation(session->Rank(obs, &ticket), obs.tasks.size()));
   }
   // The only live session is blocked in Rank, so no request can join a
@@ -253,7 +253,7 @@ TEST(ArrangementServiceTest, ConcurrentSessionsStillCoalesce) {
   ServiceConfig cfg;
   cfg.max_batch = 8;
   cfg.batch_window_us = 100000;  // long: the batch waits for every session
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
   constexpr int kActors = 4;
   constexpr int kEvents = 20;
@@ -272,7 +272,7 @@ TEST(ArrangementServiceTest, BackpressureBoundsTheLearnerQueue) {
   ServiceConfig cfg;
   cfg.learner_queue_capacity = 2;  // tiny: actors must block, not balloon
   cfg.flush_block_events = 1;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
   const ServiceStats stats =
       DriveConcurrently(workload, &service, /*actors=*/3,
